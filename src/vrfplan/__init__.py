@@ -16,6 +16,7 @@ from .aggregator import (
     blocking,
     blocking_for_planning,
     build_generator,
+    count_states,
     detailed_balance_check,
     enumerate_states,
     max_rru,
@@ -106,6 +107,7 @@ __all__ = [
     "build_generator",
     "build_global_chain",
     "config_from_dict",
+    "count_states",
     "default_profile",
     "default_thresholds",
     "detailed_balance_check",

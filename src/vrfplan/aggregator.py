@@ -6,6 +6,11 @@ line rate within bounds. The chain built from the per-unit level rates
 is reversible, so its steady state has a product form; blocking is the
 share of offered level-upgrade flow (wake-ups included) that lands in
 states where the needed extra bandwidth does not fit.
+
+When every rate is an integer multiple of the lowest, blocking is a
+convolution over the link load in lowest-rate units and no state is
+listed; the enumerated state space is the oracle for that path and the
+fallback off the grid.
 """
 
 from __future__ import annotations
@@ -84,7 +89,6 @@ class BlockingReport:
 
     per_rate: tuple[float, ...]
     total: float
-    set_sizes: tuple[int, ...]
     binomial_n: int
     offered_flow: float
     blocked_flow: float
@@ -113,43 +117,81 @@ def _binomial_count(spec: AggregatorSpec, convention: str) -> int:
 def enumerate_states(spec: AggregatorSpec, state_cap: int = DEFAULT_STATE_CAP) -> StateSpace:
     """All occupancy vectors with total units <= N and load <= capacity,
     in lexicographic order."""
-    m = spec.rate_set.count
-    rates = spec.rate_set.rates
-    b_c = spec.link_capacity_mbps
-    load_limit = b_c * (1.0 + 1e-12) + 1e-9
     vectors: list[tuple[int, ...]] = []
     loads: list[float] = []
     totals: list[int] = []
-
-    def walk(prefix: list[int], level: int, used: int, load: float) -> None:
-        if level == m:
-            vectors.append(tuple(prefix))
-            loads.append(load)
-            totals.append(used)
-            if len(vectors) > state_cap:
-                raise CapacityError(
-                    f"state space exceeds {state_cap} states; reduce the cluster size, "
-                    f"rate count, or capacity"
-                )
-            return
-        d = rates[level]
-        k_max = spec.cluster_size - used
-        if not math.isinf(load_limit):
-            k_max = min(k_max, int((load_limit - load) // d))
-        for k in range(k_max + 1):
-            new_load = load + k * d
-            if new_load > load_limit:
-                break
-            prefix.append(k)
-            walk(prefix, level + 1, used + k, new_load)
-            prefix.pop()
-
-    walk([], 0, 0, 0.0)
+    load_limit = spec.link_capacity_mbps * (1.0 + 1e-12) + 1e-9
+    _walk(spec, state_cap, load_limit, (vectors, loads, totals), [], 0, 0.0)
     return StateSpace(
         vectors=tuple(vectors),
         loads=np.array(loads),
         totals=np.array(totals, dtype=int),
     )
+
+
+def _walk(spec: AggregatorSpec, state_cap: int, load_limit: float,
+          out: tuple[list, list, list], prefix: list[int], used: int, load: float) -> None:
+    """Append every feasible completion of `prefix` to the `out` lists.
+
+    A module-level function rather than a closure: a recursive closure
+    refers to itself, and that cycle would keep the lists alive after
+    `enumerate_states` returns."""
+    rates = spec.rate_set.rates
+    level = len(prefix)
+    if level == len(rates):
+        vectors, loads, totals = out
+        vectors.append(tuple(prefix))
+        loads.append(load)
+        totals.append(used)
+        if len(vectors) > state_cap:
+            raise CapacityError(
+                f"state space exceeds {state_cap} states; reduce the cluster size, "
+                f"rate count, or capacity"
+            )
+        return
+    d = rates[level]
+    k_max = spec.cluster_size - used
+    if not math.isinf(load_limit):
+        k_max = min(k_max, int((load_limit - load) // d))
+    for k in range(k_max + 1):
+        new_load = load + k * d
+        if new_load > load_limit:
+            break
+        prefix.append(k)
+        _walk(spec, state_cap, load_limit, out, prefix, used + k, new_load)
+        prefix.pop()
+
+
+def _grid_steps(spec: AggregatorSpec) -> tuple[int, ...] | None:
+    """Each rate in units of the lowest, or None when the link is unbounded
+    or some rate is not an integer multiple (to 1e-9 relative) of the lowest."""
+    rates = spec.rate_set.rates
+    if math.isinf(spec.link_capacity_mbps):
+        return None
+    steps = tuple(int(round(r / rates[0])) for r in rates)
+    if any(abs(s * rates[0] - r) > 1e-9 * r for s, r in zip(steps, rates)):
+        return None
+    return steps
+
+
+def count_states(spec: AggregatorSpec) -> int:
+    """Number of feasible occupancy vectors, `len(enumerate_states(spec))`.
+
+    On the rate grid the vectors are counted over (active units, load in
+    lowest-rate units) without listing them; off the grid they are listed.
+    """
+    steps = _grid_steps(spec)
+    if steps is None:
+        return len(enumerate_states(spec))
+    gmax = max_rru(spec.link_capacity_mbps, spec.rate_set.rates[0])
+    units = min(spec.cluster_size, gmax)     # every active unit takes >= 1 grid unit
+    counts = np.zeros((units + 1, gmax + 1), dtype=object)
+    counts[0, 0] = 1
+    for s in steps:
+        # any number of units at this level: c'[t, L] = c[t, L] + c'[t-1, L-s]
+        for t in range(1, units + 1):
+            counts[t, s:] += counts[t - 1, :max(gmax + 1 - s, 0)]
+    return int(counts.sum())
 
 
 def transition_rate(
@@ -275,8 +317,15 @@ def blocking(
     d_1 would; the offered flow aggregates every upgrade and wake-up
     attempt rate over all states. Both the total and each component lie
     in [0, 1] by construction.
+
+    Without `space`, a finite link and rates that are integer multiples
+    of the lowest one are solved by convolution over the load
+    (`_grid_blocking`); otherwise the states are enumerated.
     """
     if space is None:
+        steps = _grid_steps(spec)
+        if steps is not None:
+            return _grid_blocking(spec, binomial_n, steps)
         space = enumerate_states(spec)
     probs = product_form(spec, binomial_n, space)
     m = spec.rate_set.count
@@ -301,10 +350,72 @@ def blocking(
     return BlockingReport(
         per_rate=per_rate,
         total=float(sum(per_rate)),
-        set_sizes=tuple(int(mask.sum()) for mask in blocked_masks),
         binomial_n=_binomial_count(spec, binomial_n),
         offered_flow=offered,
         blocked_flow=float(sum(blocked_parts)),
+        convention=binomial_n,
+    )
+
+
+def _log_powers(log_w: np.ndarray, steps: tuple[int, ...], gmax: int,
+                nb: int) -> tuple[np.ndarray, np.ndarray]:
+    """Log coefficients of f^(nb-1) and f^nb up to x^gmax, where
+    f(x) = 1 + sum_l w_l x^(s_l) is one unit: off, or at level l.
+
+    Multiplying by f one unit at a time adds only positive terms, so
+    every coefficient keeps its relative accuracy however small it is.
+    """
+    g = np.full(gmax + 1, -math.inf)
+    g[0] = 0.0
+    terms = np.full((len(steps) + 1, gmax + 1), -math.inf)
+    prev = g
+    for _ in range(nb):
+        terms[0] = g
+        for row, (lw, s) in enumerate(zip(log_w, steps), start=1):
+            terms[row, s:] = g[:max(gmax + 1 - s, 0)] + lw
+        prev, g = g, np.logaddexp.reduce(terms, axis=0)
+    return prev, g
+
+
+def _grid_blocking(spec: AggregatorSpec, binomial_n: str,
+                   steps: tuple[int, ...]) -> BlockingReport:
+    """`blocking` for rates on an integer grid of the lowest rate.
+
+    The product form is a multinomial over nb units truncated at the
+    link, so the summed weight of the states at load L (in lowest-rate
+    units) is the coefficient [f^nb]_L. The idle units at load L weigh
+    (N - nb) [f^nb]_L + nb [f^(nb-1)]_L, and the units at level l weigh
+    nb w_l [f^(nb-1)]_(L - s_l); a flow at load L is blocked when its
+    jump in load takes it past gmax.
+    """
+    nb = _binomial_count(spec, binomial_n)
+    gmax = max_rru(spec.link_capacity_mbps, spec.rate_set.rates[0])
+    up, down = spec.rates.up, spec.rates.down
+    log_w = np.cumsum(np.log(up) - np.log(down))
+    log_fm1, log_f = _log_powers(log_w, steps, gmax, nb)
+    spare = spec.cluster_size - nb
+    idle = log_fm1 + math.log(nb)
+    if spare:
+        idle = np.logaddexp(idle, log_f + math.log(spare))
+    flows = [idle + math.log(up[0])]
+    jumps = [steps[0]]
+    for level in range(1, len(steps)):
+        s = steps[level - 1]
+        flow = np.full(gmax + 1, -math.inf)
+        flow[s:] = (log_fm1[:max(gmax + 1 - s, 0)] + math.log(nb) + log_w[level - 1]
+                    + math.log(up[level]))
+        flows.append(flow)
+        jumps.append(steps[level] - s)
+    log_offered = logsumexp(flows)
+    log_blocked = [logsumexp(flow[max(gmax + 1 - jump, 0):]) for flow, jump in zip(flows, jumps)]
+    per_rate = tuple(math.exp(b - log_offered) for b in log_blocked)
+    log_z = logsumexp(log_f)
+    return BlockingReport(
+        per_rate=per_rate,
+        total=float(sum(per_rate)),
+        binomial_n=nb,
+        offered_flow=math.exp(log_offered - log_z),
+        blocked_flow=math.fsum(math.exp(b - log_z) for b in log_blocked),
         convention=binomial_n,
     )
 

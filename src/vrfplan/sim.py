@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .config import RateSet, ThresholdPolicy, TrafficSpec
 from .errors import InvalidConfigError, InvalidParameterError
@@ -39,8 +38,9 @@ from .rru import RruChainSpec, transition_rates
 MIN_EVENTS = 100_000
 #: Number of equal-size event batches behind the confidence interval.
 BATCH_COUNT = 20
-#: 97.5% quantile of Student's t with BATCH_COUNT-1 degrees of freedom.
-T_QUANTILE = float(_scipy_stats.t.ppf(0.975, BATCH_COUNT - 1))
+#: 97.5% quantile of Student's t with BATCH_COUNT-1 degrees of freedom
+#: (scipy.stats.t.ppf(0.975, 19), kept as a literal to spare the import).
+T_QUANTILE = 2.0930240544083087
 #: Slack for floating-point capacity comparisons (Mbit/s).
 _CAPACITY_SLACK = 1e-6
 _UNIFORM_BLOCK = 1 << 16
@@ -96,7 +96,8 @@ def reconfig_arrival_probability(rate: float, window: float, n: int) -> float:
         raise InvalidParameterError("rate and window must be positive")
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise InvalidParameterError(f"n must be a non-negative integer, got {n!r}")
-    return float(_scipy_stats.poisson.pmf(n, rate * window))
+    x = rate * window
+    return math.exp(n * math.log(x) - x - math.lgamma(n + 1))
 
 
 @dataclass(frozen=True)

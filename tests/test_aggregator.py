@@ -1,7 +1,10 @@
 """Cluster model: state enumeration, product-form law, reversibility,
 and the blocking decomposition."""
 
+import gc
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from vrfplan import (
     blocking,
     blocking_for_planning,
     build_generator,
+    count_states,
     detailed_balance_check,
     enumerate_states,
     max_rru,
@@ -18,7 +22,7 @@ from vrfplan import (
     spec_from_planning,
     transition_rate,
 )
-from vrfplan import ctmc, rru
+from vrfplan import aggregator, ctmc, rru
 
 from util import default_planning, engset_marginal, mk_chain
 
@@ -56,6 +60,14 @@ def test_single_level_enumeration():
     space = enumerate_states(single_level_spec(5, bc=10 * 1228.8))
     assert len(space) == 6
     assert sorted(space.vectors) == [(k,) for k in range(6)]
+
+
+def test_enumeration_leaves_no_garbage_cycles():
+    spec = spec_from_planning(default_planning(0.25, 3, 20))
+    gc.collect()
+    space = enumerate_states(spec)
+    assert gc.collect() == 0
+    assert len(space) == 819
 
 
 def test_enumerated_states_respect_both_constraints():
@@ -275,3 +287,78 @@ def test_binomial_conventions_differ_when_saturated():
     assert eff.total != true.total
     assert 0.99 < eff.total < 1.0
     assert 0.99 < true.total < 1.0
+
+
+# ---------------------------------------------------------------------------
+# grid convolution against the enumerated oracle
+
+def _no_enumeration(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("state enumeration on the grid path")
+    monkeypatch.setattr(aggregator, "enumerate_states", refuse)
+
+
+def _assert_reports_close(got, want, rel):
+    assert got.binomial_n == want.binomial_n and got.convention == want.convention
+    for x, w in zip(got.per_rate + (got.total, got.offered_flow, got.blocked_flow),
+                    want.per_rate + (want.total, want.offered_flow, want.blocked_flow)):
+        assert x == w or abs(x - w) <= rel * abs(w), (got, want)
+
+
+def test_grid_path_matches_enumerated_oracle(monkeypatch):
+    cases = []
+    for a in (0.2, 0.3, 0.5):
+        for n_d in range(1, 6):
+            for n in (4, 8, 12, 16, 20):
+                spec = spec_from_planning(default_planning(a, n_d, n))
+                space = enumerate_states(spec)
+                cases.append((spec, space, {conv: blocking(spec, conv, space=space)
+                                            for conv in ("effective", "true")}))
+    _no_enumeration(monkeypatch)
+    for spec, space, oracle in cases:
+        assert count_states(spec) == len(space)
+        for conv, want in oracle.items():
+            _assert_reports_close(blocking(spec, conv), want, 1e-9)
+
+
+def test_grid_path_at_link_edges():
+    # links at an exact multiple of the lowest rate, where float slack and
+    # grid rounding could disagree, and links narrower than the top rate
+    for link, n_d, n in itertools.product((10 * 1228.8, 1228.8, 1000.0), (1, 2, 3, 5),
+                                          (2, 9, 10, 11, 14)):
+        if link <= 1228.8 and n_d == 1:
+            continue    # the link must exceed the lowest rate
+        spec = spec_from_planning(default_planning(0.3, n_d, n, link=link))
+        space = enumerate_states(spec)
+        assert count_states(spec) == len(space)
+        for conv in ("effective", "true"):
+            _assert_reports_close(blocking(spec, conv), blocking(spec, conv, space=space), 1e-9)
+
+
+def test_off_grid_rates_take_the_enumerated_path(monkeypatch):
+    chain = mk_chain((100.0, 250.0), (3, 6), (3,), (2,), 1.5, 0.5)
+    spec = AggregatorSpec(cluster_size=6, rate_set=chain.rate_set,
+                          link_capacity_mbps=700.0,
+                          rates=rru.transition_rates(chain))
+    want = blocking(spec, space=enumerate_states(spec))
+    assert want.total > 0.0
+    calls = []
+    original = aggregator.enumerate_states
+    monkeypatch.setattr(aggregator, "enumerate_states",
+                        lambda *a, **k: calls.append(1) or original(*a, **k))
+    assert blocking(spec) == want
+    assert count_states(spec) == len(original(spec))
+    assert len(calls) == 2
+
+
+def test_hundreds_of_units_on_a_fat_link(monkeypatch):
+    spec = spec_from_planning(default_planning(0.25, 5, 400, link=200000.0))
+    _no_enumeration(monkeypatch)
+    for conv in ("effective", "true"):
+        t0 = time.perf_counter()
+        report = blocking(spec, conv)
+        assert time.perf_counter() - t0 < 1.0
+        parts = np.array(report.per_rate)
+        assert np.isfinite(parts).all() and ((parts >= 0.0) & (parts <= 1.0)).all()
+        assert math.fsum(report.per_rate) == pytest.approx(report.total, rel=1e-12)
+        assert 0.0 < report.total < 1.0

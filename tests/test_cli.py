@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import vrfplan
-from vrfplan.cli import CSV_COLUMNS, _coordinate_seed, _fmt, main
+from vrfplan.cli import AGREE_FLOOR, CSV_COLUMNS, _agree_flag, _coordinate_seed, _fmt, main
 
 
 def write_config(tmp_path, **kwargs):
@@ -212,6 +212,27 @@ def test_sweep_simulated_rows_have_agreement_flag(tmp_path, capsys):
     assert int(row["seed"]) == _coordinate_seed(0, 0.25, 3, 1, "poisson", 16, 120_000)
 
 
+def test_sweep_agreement_judged_against_exact_convention(tmp_path, capsys):
+    # depth 1, N = 18 on 10 Gbit/s: the link carries 8 units, so the
+    # effective convention (n = 8) gives 0.0197 while the chain the
+    # simulator runs blocks 0.588, which the "true" convention gives exactly
+    plan = write_plan(tmp_path, a=[0.02], n_d=[1], n=[18], mode="both", events=100_000)
+    out = tmp_path / "exact.csv"
+    assert main(["sweep", "--plan", plan, "--out", str(out), "--seed", "3"]) == 0
+    capsys.readouterr()
+    (row,) = rows_of(out)
+    assert float(row["pb_analytic"]) == pytest.approx(0.0197, abs=1e-4)
+    assert float(row["pb_sim"]) == pytest.approx(0.5877, abs=0.03)
+    assert row["agree"] == "true"
+
+
+def test_agreement_floor_at_both_ends():
+    assert _agree_flag(0.5 * AGREE_FLOOR, 0.0, 0.0)
+    assert _agree_flag(1.0 - 0.5 * AGREE_FLOOR, 1.0, 0.0)
+    assert not _agree_flag(1.0 - 2.0 * AGREE_FLOOR, 1.0, 0.0)
+    assert not _agree_flag(0.5, 0.6, 0.01)
+
+
 def test_sweep_plan_validation(tmp_path, capsys):
     assert main(["sweep", "--plan", str(tmp_path / "nope.json")]) == 2
     assert main(["sweep", "--plan", write_plan(tmp_path, a=[0.2], n_d=[1])]) == 2
@@ -227,10 +248,10 @@ def test_sweep_plan_validation(tmp_path, capsys):
 def test_sweep_marks_failed_points_and_exits_nonzero(tmp_path, capsys, monkeypatch):
     import vrfplan.cli as cli_mod
 
-    def boom(planning, binomial_n="effective"):
+    def boom(spec, binomial_n="effective", space=None):
         raise RuntimeError("induced failure")
 
-    monkeypatch.setattr(cli_mod.aggregator, "blocking_for_planning", boom)
+    monkeypatch.setattr(cli_mod.aggregator, "blocking", boom)
     plan = write_plan(tmp_path, a=[0.2], n_d=[1], n=[5, 6])
     out = tmp_path / "fail.csv"
     assert main(["sweep", "--plan", plan, "--out", str(out)]) == 1

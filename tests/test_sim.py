@@ -96,6 +96,20 @@ def test_reconfig_probability_printed_values():
     assert round(reconfig_arrival_probability(per_second, 5.0, 4), 4) == 0.0087
 
 
+def test_reconfig_probability_matches_scipy_poisson_pmf():
+    for rate in (10.0 / 60.0, 1.0, 7.5):
+        for window in (0.05, 0.5, 5.0):
+            for n in range(8):
+                want = float(sps.poisson.pmf(n, rate * window))
+                assert reconfig_arrival_probability(rate, window, n) == pytest.approx(
+                    want, rel=1e-12)
+
+
+def test_t_quantile_literal_matches_scipy():
+    assert sim.T_QUANTILE == pytest.approx(float(sps.t.ppf(0.975, sim.BATCH_COUNT - 1)),
+                                           rel=1e-15)
+
+
 def test_reconfig_probability_validation():
     with pytest.raises(InvalidParameterError):
         reconfig_arrival_probability(-1.0, 0.5, 1)
