@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
+from ._logspace import log_factorials, logsumexp
 from .config import PlanningConfig, RateSet
 from .errors import CapacityError, InvalidParameterError
 from .rru import RruChainSpec, RruRates, transition_rates
@@ -294,11 +294,13 @@ def product_form(
         math.log(spec.rates.up[i]) - math.log(spec.rates.down[i])
         for i in range(spec.rate_set.count)
     ])
-    lw = (
-        gammaln(nb + 1.0)
-        - gammaln(nb - space.totals + 1.0)
-        - gammaln(k_mat + 1.0).sum(axis=1)
-        + suffix @ ratio_logs
+    lf = log_factorials(spec.cluster_size)
+    idle = nb - space.totals
+    lw = np.where(
+        idle >= 0,      # more active units than nb give a zero choose-term
+        lf[nb] - lf[np.maximum(idle, 0)] - lf[k_mat.astype(int)].sum(axis=1)
+        + suffix @ ratio_logs,
+        -math.inf,
     )
     probs = np.exp(lw - logsumexp(lw))
     return probs / probs.sum()
@@ -397,17 +399,16 @@ def _grid_blocking(spec: AggregatorSpec, binomial_n: str,
     idle = log_fm1 + math.log(nb)
     if spare:
         idle = np.logaddexp(idle, log_f + math.log(spare))
-    flows = [idle + math.log(up[0])]
-    jumps = [steps[0]]
+    flows = np.full((len(steps), gmax + 1), -math.inf)
+    flows[0] = idle + math.log(up[0])
     for level in range(1, len(steps)):
         s = steps[level - 1]
-        flow = np.full(gmax + 1, -math.inf)
-        flow[s:] = (log_fm1[:max(gmax + 1 - s, 0)] + math.log(nb) + log_w[level - 1]
-                    + math.log(up[level]))
-        flows.append(flow)
-        jumps.append(steps[level] - s)
+        flows[level, s:] = (log_fm1[:max(gmax + 1 - s, 0)] + math.log(nb) + log_w[level - 1]
+                            + math.log(up[level]))
     log_offered = logsumexp(flows)
-    log_blocked = [logsumexp(flow[max(gmax + 1 - jump, 0):]) for flow, jump in zip(flows, jumps)]
+    jumps = np.diff(steps, prepend=0)
+    past = np.arange(gmax + 1) + jumps[:, None] > gmax
+    log_blocked = logsumexp(np.where(past, flows, -math.inf), axis=1)
     per_rate = tuple(math.exp(b - log_offered) for b in log_blocked)
     log_z = logsumexp(log_f)
     return BlockingReport(

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import InvalidParameterError, NumericalError, StructuralError
 
@@ -62,6 +60,11 @@ def _assert_irreducible(off: np.ndarray) -> None:
     n = off.shape[0]
     if n == 1:
         return
+    # imported here: only the chain solver needs it, and scipy costs the
+    # package most of its import time
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     graph = csr_matrix((off > 0.0).astype(np.int8))
     n_comp, labels = connected_components(graph, directed=True, connection="strong")
     if n_comp > 1:

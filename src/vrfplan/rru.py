@@ -18,9 +18,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from . import ctmc
+from ._logspace import log_factorials, logsumexp
 from .config import RateSet, ThresholdPolicy, TrafficSpec
 from .errors import InvalidConfigError, InvalidParameterError
 
@@ -196,78 +196,82 @@ def build_global_chain(spec: RruChainSpec) -> GlobalRruChain:
     return GlobalRruChain(spec=spec, states=tuple(states), q=q)
 
 
-def _log_terms_interior(i: int, base: int, gateway: int, log_rho: float) -> float:
-    """log of the homogeneous coefficient part at user count i for a level
-    entered at `base` from below through `gateway` = F_{l-1} + 1."""
-    j_lo = max(0, i - gateway)
-    j_hi = i - base
-    j = np.arange(j_lo, j_hi + 1)
-    terms = math.log(base) + j * log_rho + gammaln(i - j) - gammaln(i + 1)
-    return float(logsumexp(terms))
+def _log_interior(users: np.ndarray, base: int, gateway: int, log_rho: float,
+                  lf: np.ndarray) -> np.ndarray:
+    """log of the homogeneous coefficient part at each user count i of a
+    level entered at `base` from below through `gateway` = F_{l-1} + 1:
+    the row-wise log-sum-exp of base * rho^j * (i-j-1)! / i! over
+    max(0, i - gateway) <= j <= i - base."""
+    i = users[:, None]
+    j = np.arange(users[-1] - base + 1)[None, :]
+    inside = (j >= i - gateway) & (j <= i - base)
+    k = np.where(inside, i - j - 1, 0)
+    terms = np.where(inside, math.log(base) + j * log_rho + lf[k] - lf[i], -math.inf)
+    return logsumexp(terms, axis=1)
 
 
-def _log_echo(i: int, r_l: int, log_rho: float) -> float:
-    """log of the reflected-sum factor multiplying the top coefficient in
-    the band above the reverse threshold; -inf when the sum is empty."""
-    if i <= r_l:
-        return -math.inf
-    j = np.arange(1, i - r_l + 1)
-    terms = j * log_rho + gammaln(i - j + 1) - gammaln(i + 1)
-    return float(logsumexp(terms))
+def _log_echo(users: np.ndarray, r_l: int, log_rho: float, lf: np.ndarray) -> np.ndarray:
+    """log of the reflected-sum factor multiplying the top coefficient at
+    each user count i above the reverse threshold r_l: the row-wise
+    log-sum-exp of rho^j * (i-j)! / i! over 1 <= j <= i - r_l."""
+    i = users[:, None]
+    j = np.arange(1, users[-1] - r_l + 1)[None, :]
+    inside = j <= i - r_l
+    k = np.where(inside, i - j, 0)
+    terms = np.where(inside, j * log_rho + lf[k] - lf[i], -math.inf)
+    return logsumexp(terms, axis=1)
 
 
 def _log_coefficients(spec: RruChainSpec, level: int) -> np.ndarray:
     """Log coefficients over `level`'s user range, shifted so the base
-    entry is exactly 0 (coefficient 1). Raises FloatingPointError-like
-    ValueError on catastrophic cancellation; callers fall back to the
-    chain solver."""
-    rho = spec.rho
-    lr = math.log(rho)
-    users = list(spec.user_range(level))
+    entry is exactly 0 (coefficient 1). Raises ValueError on catastrophic
+    cancellation; callers fall back to the chain solver."""
+    lr = math.log(spec.rho)
+    users = np.array(spec.user_range(level))
+    lf = log_factorials(int(users[-1]))
     m = spec.level_count
 
     if level == 1:
         # pure product form below the reverse threshold, echo-corrected above
-        lt = np.array([i * lr - gammaln(i + 1) for i in users])
+        lt = users * lr - lf[users]
         if m == 1:
             return lt
-        f1 = spec.forward_at(1)
-        r1 = spec.thresholds.reverse[0]
-        lt -= lt[0]
     else:
         base = spec.reverse_before(level) + 1
         gateway = spec.forward_at(level - 1) + 1
-        lt = np.array([_log_terms_interior(i, base, gateway, lr) for i in users])
-        lt -= lt[0]
+        lt = _log_interior(users, base, gateway, lr, lf)
         if level == m:
-            return lt
-        f1 = spec.forward_at(level)
-        r1 = spec.thresholds.reverse[level - 1]
+            return lt - lt[0]
+    lt -= lt[0]
+    f1 = spec.forward_at(level)
+    r1 = spec.thresholds.reverse[level - 1]
+    lo = int(users[0])
 
-    # top coefficient from the recurrence closed at the forward threshold
-    idx = {u: k for k, u in enumerate(users)}
-    l_echo_top = _log_echo(f1 - 1, r1, lr)
-    l_denom = logsumexp([0.0, math.log(f1) - lr, l_echo_top])
-    l_cf = lt[idx[f1 - 1]] - l_denom
+    # echo sums over r1 .. f1-1 (empty, so -inf, at r1); the last one closes
+    # the recurrence for the top coefficient at the forward threshold
+    l_echo = _log_echo(np.arange(r1, f1), r1, lr, lf)
+    l_denom = logsumexp([0.0, math.log(f1) - lr, l_echo[-1]])
+    l_cf = lt[f1 - 1 - lo] - l_denom
 
     out = lt.copy()
-    out[idx[f1]] = l_cf
-    for u in range(r1 + 1, f1):
-        l_sub = _log_echo(u, r1, lr) + l_cf
-        l_pos = lt[idx[u]]
-        if l_pos >= l_sub:
-            diff = l_sub - l_pos
-            out[idx[u]] = l_pos + (math.log1p(-math.exp(diff)) if diff > -745.0 else 0.0)
-        else:
-            # mathematically impossible; a negative value here means the
-            # subtraction cancelled catastrophically
-            overshoot = math.exp(l_pos - l_sub)
-            if 1.0 - overshoot > _CANCEL_TOL:
-                raise ValueError(
-                    f"coefficient at users={u}, level={level} came out negative "
-                    f"({overshoot:.3e} relative shortfall)"
-                )
-            out[idx[u]] = -math.inf
+    out[f1 - lo] = l_cf
+    # the band r1+1 .. f1-1 subtracts the echo of the top coefficient
+    l_pos = lt[r1 + 1 - lo:f1 - lo]
+    diff = l_echo[1:] + l_cf - l_pos
+    negative = diff >= 0.0
+    if negative.any():
+        # mathematically impossible; a negative value here means the
+        # subtraction cancelled catastrophically
+        shortfall = -np.expm1(-diff)
+        bad = np.flatnonzero(negative & (shortfall > _CANCEL_TOL))
+        if bad.size:
+            raise ValueError(
+                f"coefficient at users={r1 + 1 + bad[0]}, level={level} came out negative "
+                f"({shortfall[bad[0]]:.3e} relative shortfall)"
+            )
+    with np.errstate(divide="ignore"):
+        out[r1 + 1 - lo:f1 - lo] = np.where(
+            negative, -math.inf, l_pos + np.log1p(-np.exp(np.minimum(diff, 0.0))))
     return out
 
 
@@ -284,20 +288,25 @@ def _oracle_log_coefficients(spec: RruChainSpec, level: int) -> np.ndarray:
     return lc - lc[0]
 
 
+def _level_log_coefficients(spec: RruChainSpec, level: int) -> np.ndarray:
+    """`_log_coefficients`, or the chain solver's when the closed form
+    cancels catastrophically."""
+    if not 1 <= level <= spec.level_count:
+        raise InvalidParameterError(f"level must be in 1..{spec.level_count}, got {level}")
+    try:
+        return _log_coefficients(spec, level)
+    except ValueError as exc:
+        log.warning("closed form failed for level %d (%s); using chain solver", level, exc)
+        return _oracle_log_coefficients(spec, level)
+
+
 def partition_coefficients(spec: RruChainSpec, level: int) -> np.ndarray:
     """Per-level coefficients C_i over the level's user range.
 
     The base entry (lowest user count of the level) is exactly 1; every
     other entry is the steady-state probability ratio to that base state.
     """
-    if not 1 <= level <= spec.level_count:
-        raise InvalidParameterError(f"level must be in 1..{spec.level_count}, got {level}")
-    try:
-        lc = _log_coefficients(spec, level)
-    except ValueError as exc:
-        log.warning("closed form failed for level %d (%s); using chain solver", level, exc)
-        lc = _oracle_log_coefficients(spec, level)
-    return np.exp(lc)
+    return np.exp(_level_log_coefficients(spec, level))
 
 
 def partition_distribution(spec: RruChainSpec, level: int) -> PartitionDistribution:
@@ -305,13 +314,7 @@ def partition_distribution(spec: RruChainSpec, level: int) -> PartitionDistribut
 
     Level 1 includes the switched-off state at zero users.
     """
-    if not 1 <= level <= spec.level_count:
-        raise InvalidParameterError(f"level must be in 1..{spec.level_count}, got {level}")
-    try:
-        lc = _log_coefficients(spec, level)
-    except ValueError as exc:
-        log.warning("closed form failed for level %d (%s); using chain solver", level, exc)
-        lc = _oracle_log_coefficients(spec, level)
+    lc = _level_log_coefficients(spec, level)
     probs = np.exp(lc - logsumexp(lc))
     probs /= probs.sum()
     return PartitionDistribution(

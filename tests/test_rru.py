@@ -1,6 +1,7 @@
 """Per-unit threshold chain: closed-form coefficients, conditional
 distributions, level-transition rates, and the decomposition identity."""
 
+import logging
 import math
 
 import numpy as np
@@ -8,21 +9,28 @@ import pytest
 
 from vrfplan import (
     InvalidParameterError,
+    VrfError,
     build_global_chain,
     partition_coefficients,
     partition_distribution,
     rate_level_distribution,
     transition_rates,
 )
-from vrfplan import ctmc
+from vrfplan import ctmc, rru
 
-from util import erlang_b, mk_chain
+from util import default_planning, erlang_b, mk_chain
 
 
 def toy_chain(rho=1.5):
     """The small two-level reference ladder: F=(3,), R=(2,), six servers."""
     mu = 0.5
     return mk_chain((100.0, 200.0), (3, 6), (3,), (2,), rho * mu, mu)
+
+
+def unit_spec(a, n_d, gap):
+    planning = default_planning(a, n_d, 8, gap)
+    return rru.RruChainSpec(rate_set=planning.rate_set, thresholds=planning.thresholds,
+                            traffic=planning.traffic)
 
 
 def global_partition_mass(chain, level):
@@ -105,6 +113,52 @@ def test_coefficients_match_conditional_chain_ratios():
         ratios = pi[idx] / pi[idx[0]]
         coef = partition_coefficients(spec, level)
         assert np.abs(coef / ratios - 1.0).max() < 1e-9
+
+
+def test_closed_form_matches_chain_oracle_on_every_level():
+    # the closed form itself, not the fallback, against the GTH chain solve
+    checked = 0
+    for a in (1e-4, 0.05, 0.25, 0.5, 0.9, 0.999):
+        for n_d in range(1, 6):
+            for gap in (1, 2, 3):
+                try:
+                    spec = unit_spec(a, n_d, gap)
+                except VrfError:
+                    continue        # the gap does not fit the ladder's smallest step
+                for level in range(1, n_d + 1):
+                    closed = np.exp(rru._log_coefficients(spec, level))
+                    oracle = np.exp(rru._oracle_log_coefficients(spec, level))
+                    assert closed == pytest.approx(oracle, rel=1e-9), (a, n_d, gap, level)
+                checked += 1
+    assert checked == 6 * (3 * 4 + 2)      # n_d = 5 admits gaps 1 and 2 only
+
+
+#: transition_rates of (a, n_d, gap) as computed by the scalar scipy
+#: closed forms before they were vectorised.
+RECORDED_RATES = {
+    (0.25, 3, 1): ((6.25, 0.7514491465108236, 0.004925098462540736),
+                   (5.0501146969836674e-05, 0.6441690930419636, 3.4480927375748536)),
+    (0.1, 1, 1): ((2.5,), (0.01695913726576059,)),
+    (0.5, 2, 2): ((12.5, 0.6919338222446656), (3.67554411968933e-10, 0.6193184937975214)),
+    (0.05, 4, 1): ((1.25, 0.027423827576523452, 0.0004723596725888165, 1.2884928436907012e-11),
+                   (0.11457455770850884, 1.0978836294977359, 2.5490393617123175,
+                    5.773157278668059)),
+    (0.75, 4, 3): ((18.75, 4.1368113588777, 3.4144175754604915, 1.9044292459893846),
+                   (0.0005286478997805888, 9.05717311633822e-05, 3.366856847172023e-05,
+                    0.01667854887997005)),
+    (0.9, 5, 2): ((22.5, 7.225261655566122, 6.685626893860781, 5.714056960770318,
+                   3.657970776318362),
+                  (0.168173168411037, 0.0018928230459507704, 0.00012102077968900756,
+                   1.1733393632099654e-05, 0.0018076303695752991)),
+}
+
+
+@pytest.mark.parametrize("key", sorted(RECORDED_RATES))
+def test_transition_rates_match_recorded_values(key):
+    up, down = RECORDED_RATES[key]
+    rates = transition_rates(unit_spec(*key))
+    assert rates.up == pytest.approx(up, rel=1e-12)
+    assert rates.down == pytest.approx(down, rel=1e-12)
 
 
 def test_coefficients_reject_bad_level():
@@ -235,3 +289,59 @@ def test_decomposition_reconstructs_global_distribution():
                     continue
                 global_p = float(pi[chain.index_of(users, level)])
                 assert abs(mass * dist.probability_of(users) - global_p) < tol
+
+
+# ---------------------------------------------------------------------------
+# chain-solver fallback
+
+def chain_rates(spec):
+    """transition_rates' definition read off the full chain's steady state."""
+    chain = build_global_chain(spec)
+    pi = ctmc.steady_state(chain.q)
+    lam, mu = spec.traffic.lam, spec.traffic.mu
+    up, down = [lam], []
+    for level in range(1, spec.level_count + 1):
+        idx = [i for i in chain.partition_indices(level) if chain.states[i] != (0, 0)]
+        mass = pi[idx].sum()
+        entry = spec.reverse_before(level) + 1
+        down.append(entry * mu * pi[chain.index_of(entry, level)] / mass)
+        if level < spec.level_count:
+            up.append(lam * pi[chain.index_of(spec.forward_at(level), level)] / mass)
+    return tuple(up), tuple(down)
+
+
+def test_cancellation_falls_back_to_chain_solver(monkeypatch, caplog):
+    # gap 3 leaves levels 1 and 2 a band above the reverse threshold; an
+    # echo inflated e^10-fold there drives its coefficients below zero
+    spec = unit_spec(0.25, 3, 3)
+    closed = transition_rates(spec)
+    real_echo = rru._log_echo
+
+    def inflated(users, r_l, log_rho, lf):
+        out = real_echo(users, r_l, log_rho, lf)
+        out[:-1] += 10.0        # not the echo that closes the recurrence
+        return out
+
+    monkeypatch.setattr(rru, "_log_echo", inflated)
+    with pytest.raises(ValueError, match="came out negative"):
+        rru._log_coefficients(spec, 1)
+
+    with caplog.at_level(logging.WARNING, logger="vrfplan.rru"):
+        rates = transition_rates(spec)
+    failed = [r.getMessage() for r in caplog.records if "closed form failed" in r.getMessage()]
+    assert [m.split(" (")[0] for m in failed] == [
+        "closed form failed for level 1", "closed form failed for level 2"]
+
+    up, down = chain_rates(spec)
+    assert rates.up == pytest.approx(up, rel=1e-12)
+    assert rates.down == pytest.approx(down, rel=1e-12)
+    # the chain solver and the closed form agree as closely as the oracle test asks
+    assert rates.up == pytest.approx(closed.up, rel=1e-9)
+    assert rates.down == pytest.approx(closed.down, rel=1e-9)
+
+    chain = build_global_chain(spec)
+    pi = ctmc.steady_state(chain.q)
+    for level in (1, 2):
+        idx = list(chain.partition_indices(level))
+        dist = partition_distribution(spec, level)
+        assert dist.probabilities == pytest.approx(pi[idx] / pi[idx].sum(), rel=1e-12)
