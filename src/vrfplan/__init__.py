@@ -38,14 +38,7 @@ from .config import (
     select_rates,
     traffic_from_load,
 )
-from .ctmc import (
-    Partition,
-    dtmc_steady_state,
-    fold_back_conditional,
-    steady_state,
-    stochastic_complement,
-    uniformize,
-)
+from .ctmc import steady_state
 from .errors import (
     CapacityError,
     InvalidConfigError,
@@ -69,11 +62,8 @@ from .sim import (
     ArrivalProcess,
     SimConfig,
     SimStats,
-    rate_after_arrival,
-    rate_after_departure,
     reconfig_arrival_probability,
     run,
-    sample_interarrival,
 )
 
 __version__ = "1.0.0"
@@ -88,7 +78,6 @@ __all__ = [
     "InvalidConfigError",
     "InvalidParameterError",
     "NumericalError",
-    "Partition",
     "PartitionDistribution",
     "PlanningConfig",
     "ProfileRow",
@@ -111,26 +100,19 @@ __all__ = [
     "default_profile",
     "default_thresholds",
     "detailed_balance_check",
-    "dtmc_steady_state",
     "enumerate_states",
-    "fold_back_conditional",
     "load_config",
     "max_rru",
     "partition_coefficients",
     "partition_distribution",
     "product_form",
-    "rate_after_arrival",
-    "rate_after_departure",
     "rate_level_distribution",
     "reconfig_arrival_probability",
     "run",
-    "sample_interarrival",
     "select_rates",
     "spec_from_planning",
     "steady_state",
-    "stochastic_complement",
     "traffic_from_load",
     "transition_rate",
     "transition_rates",
-    "uniformize",
 ]

@@ -36,11 +36,9 @@ from .config import (
     ThresholdPolicy,
     TrafficSpec,
     config_from_dict,
-    default_profile,
-    select_rates,
-    traffic_from_load,
+    load_config,
 )
-from .errors import InvalidConfigError, VrfError
+from .errors import VrfError
 
 log = logging.getLogger("vrfplan")
 
@@ -87,25 +85,6 @@ def _coordinate_seed(base_seed: int, a: float, n_d: int, gap: int, arrival: str,
     return int(hashlib.sha256(key.encode()).hexdigest()[:16], 16) >> 1
 
 
-def _planning(a: float, n_d: int, n: int, gap: int, mu: float = DEFAULT_SERVICE_RATE,
-              link: float = DEFAULT_LINK_CAPACITY_MBPS) -> PlanningConfig:
-    profile = default_profile()
-    server_count = select_rates(profile, n_d).server_count
-    return PlanningConfig(profile=profile, n_d=n_d, threshold_gap=gap,
-                          traffic=traffic_from_load(a, mu, server_count),
-                          cluster_size=n, link_capacity_mbps=link)
-
-
-def _sim_config(planning: PlanningConfig, kind: str, shape: float, events: int,
-                seed: int, latency: float = 0.0) -> sim.SimConfig:
-    arrival = sim.ArrivalProcess(kind=kind, rate=planning.traffic.lam,
-                                 shape=shape if kind == "weibull" else 1.0)
-    return sim.SimConfig(cluster_size=planning.cluster_size, rate_set=planning.rate_set,
-                         thresholds=planning.thresholds, traffic=planning.traffic,
-                         link_capacity_mbps=planning.link_capacity_mbps, arrival=arrival,
-                         events=events, seed=seed, reconfig_latency=latency)
-
-
 def _agree_flag(pb_exact: float, pb_sim: float, stderr: float) -> bool:
     """Whether a simulated estimate matches the "true"-convention
     blocking, the exact product form of the chain the simulator runs."""
@@ -116,35 +95,65 @@ def _agree_flag(pb_exact: float, pb_sim: float, stderr: float) -> bool:
     return abs(pb_exact - pb_sim) <= AGREE_SIGMA * stderr
 
 
-def _exact_total(spec: aggregator.AggregatorSpec, report: aggregator.BlockingReport) -> float:
-    """The "true"-convention total for `spec`, whose effective-convention
-    `report` is at hand; the two coincide when the link carries all N units."""
-    if report.binomial_n == spec.cluster_size:
-        return report.total
-    return aggregator.blocking(spec, binomial_n="true").total
+def _analytic(planning: PlanningConfig) -> tuple[aggregator.AggregatorSpec,
+                                                 aggregator.BlockingReport]:
+    spec = aggregator.spec_from_planning(planning)
+    return spec, aggregator.blocking(spec)
 
 
-def _load_planning_file(path: str, gap_override: int | None) -> PlanningConfig:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise InvalidConfigError("<file>", f"cannot read {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidConfigError("<file>", f"invalid JSON in {path!r}: {exc}") from exc
-    if gap_override is not None and isinstance(raw, dict):
-        raw["threshold_gap"] = gap_override
-    return config_from_dict(raw)
+def _agree(analytic: tuple | None, simulated: tuple | None) -> str:
+    """The `agree` column: empty unless the row holds both estimates. The
+    simulation is judged against the "true"-convention total, which equals
+    the effective one at hand when the link carries all N units."""
+    if analytic is None or simulated is None:
+        return ""
+    spec, report = analytic
+    exact = report.total
+    if report.binomial_n != spec.cluster_size:
+        exact = aggregator.blocking(spec, binomial_n="true").total
+    stats = simulated[1]
+    return str(_agree_flag(exact, stats.estimate_fha_flow, stats.stderr)).lower()
+
+
+def _row(planning: PlanningConfig, analytic: tuple | None, simulated: tuple | None,
+         agree: str, wall: float) -> dict:
+    """One CSV row, keyed in column order. `analytic` is (spec, report) and
+    `simulated` is (arrival label, stats); the columns of a missing part
+    stay empty."""
+    row = dict.fromkeys(CSV_COLUMNS, "")
+    row.update(n=planning.cluster_size, a=_fmt(planning.traffic.a), n_d=planning.n_d,
+               gap=planning.threshold_gap, agree=agree, wall_s=_fmt(wall))
+    if analytic is not None:
+        report = analytic[1]
+        row.update(pb_analytic=_fmt(report.total),
+                   pb_components=";".join(_fmt(p) for p in report.per_rate))
+    if simulated is not None:
+        arrival, stats = simulated
+        row.update(arrival=arrival, events=stats.events_processed, seed=stats.seed,
+                   pb_sim=_fmt(stats.estimate_fha_flow), pb_sim_ci=_fmt(stats.ci_half_width),
+                   blocked_rru=stats.blocked_rru, blocked_fha=stats.blocked_fha)
+    return row
+
+
+def _csv_line(fields) -> str:
+    return ",".join(str(f) for f in fields) + "\n"
+
+
+def _append_row(path: str, row: dict) -> None:
+    new_file = not os.path.exists(path) or os.path.getsize(path) == 0
+    with open(path, "a", encoding="utf-8", newline="") as fh:
+        if new_file:
+            fh.write(_csv_line(CSV_COLUMNS))
+        fh.write(_csv_line(row.values()))
 
 
 # ---------------------------------------------------------------------------
 # analyze
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    planning = _load_planning_file(args.config, args.gap)
+    planning = load_config(args.config, args.gap)
     t0 = time.perf_counter()
-    spec = aggregator.spec_from_planning(planning)
-    report = aggregator.blocking(spec)
+    spec, report = analytic = _analytic(planning)
     wall = time.perf_counter() - t0
     rates = " ".join(f"{r:g}" for r in planning.rate_set.rates)
     print(f"cluster size        {planning.cluster_size}")
@@ -158,16 +167,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"P_B component {i}     {_fmt(p)}")
     print(f"P_B total           {_fmt(report.total)}")
     if args.out:
-        row = {
-            "n": planning.cluster_size, "a": _fmt(planning.traffic.a),
-            "n_d": planning.n_d, "gap": planning.threshold_gap,
-            "arrival": "", "events": "", "seed": "",
-            "pb_analytic": _fmt(report.total),
-            "pb_components": ";".join(_fmt(p) for p in report.per_rate),
-            "pb_sim": "", "pb_sim_ci": "", "blocked_rru": "", "blocked_fha": "",
-            "agree": "", "wall_s": _fmt(wall),
-        }
-        _write_rows(args.out, [row])
+        _append_row(args.out, _row(planning, analytic, None, "", wall))
     return 0
 
 
@@ -175,9 +175,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # simulate
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    planning = _load_planning_file(args.config, args.gap)
+    planning = load_config(args.config, args.gap)
     kind, shape = _parse_arrival(args.arrival)
-    cfg = _sim_config(planning, kind, shape, args.events, args.seed, args.latency)
+    cfg = sim.SimConfig.from_planning(planning, args.events, args.seed, kind, shape,
+                                      args.latency)
     t0 = time.perf_counter()
     stats = sim.run(cfg)
     wall = time.perf_counter() - t0
@@ -196,23 +197,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     print(f"mean aggregate rate  {_fmt(stats.c_time_average)} Mbit/s")
     print(f"max aggregate rate   {_fmt(stats.c_max)} Mbit/s")
     if args.out:
-        spec = aggregator.spec_from_planning(planning)
-        report = aggregator.blocking(spec)
-        arrival_label = args.arrival
-        row = {
-            "n": planning.cluster_size, "a": _fmt(planning.traffic.a),
-            "n_d": planning.n_d, "gap": planning.threshold_gap,
-            "arrival": arrival_label, "events": cfg.events, "seed": cfg.seed,
-            "pb_analytic": _fmt(report.total),
-            "pb_components": ";".join(_fmt(p) for p in report.per_rate),
-            "pb_sim": _fmt(stats.estimate_fha_flow),
-            "pb_sim_ci": _fmt(stats.ci_half_width),
-            "blocked_rru": stats.blocked_rru, "blocked_fha": stats.blocked_fha,
-            "agree": str(_agree_flag(_exact_total(spec, report), stats.estimate_fha_flow,
-                                     stats.stderr)).lower(),
-            "wall_s": _fmt(wall),
-        }
-        _write_rows(args.out, [row])
+        analytic, simulated = _analytic(planning), (args.arrival, stats)
+        _append_row(args.out, _row(planning, analytic, simulated,
+                                   _agree(analytic, simulated), wall))
     return 0
 
 
@@ -256,20 +243,21 @@ def _load_plan(path: str) -> dict:
 
 
 def _plan_points(plan: dict) -> list[dict]:
-    """Expand the grid in canonical order; validates every coordinate."""
+    """Expand the grid in canonical order, validating every coordinate as a
+    config file is validated."""
     points = []
     for a, n_d, gap, arrival, n in itertools.product(
             plan["a"], plan["n_d"], plan["gap"], plan["arrival"], plan["n"]):
         kind, shape = _parse_arrival(arrival)
-        planning = _planning(a, n_d, n, gap, plan["mu"], plan["fha_capacity_mbps"])
-        del planning  # built only to validate the coordinate up front
+        planning = config_from_dict({
+            "a": a, "n_d": n_d, "threshold_gap": gap, "cluster_size": n,
+            "mu": plan["mu"], "fha_capacity_mbps": plan["fha_capacity_mbps"],
+        })
         points.append({
-            "a": a, "n_d": n_d, "gap": gap, "arrival": arrival, "n": n,
-            "kind": kind, "shape": shape, "mode": plan["mode"],
-            "events": plan["events"],
+            "planning": planning, "arrival": arrival, "kind": kind, "shape": shape,
+            "mode": plan["mode"], "events": plan["events"],
             "seed": _coordinate_seed(plan["base_seed"], a, n_d, gap, arrival, n,
                                      plan["events"]),
-            "mu": plan["mu"], "link": plan["fha_capacity_mbps"],
         })
     return points
 
@@ -277,50 +265,22 @@ def _plan_points(plan: dict) -> list[dict]:
 def _sweep_point(point: dict) -> dict:
     """Evaluate one grid point; returns a CSV row dict."""
     t0 = time.perf_counter()
-    row = {
-        "n": point["n"], "a": _fmt(point["a"]), "n_d": point["n_d"],
-        "gap": point["gap"], "arrival": "", "events": "", "seed": "",
-        "pb_analytic": "", "pb_components": "", "pb_sim": "", "pb_sim_ci": "",
-        "blocked_rru": "", "blocked_fha": "", "agree": "", "wall_s": "",
-    }
+    planning = point["planning"]
+    analytic = simulated = None
     try:
-        planning = _planning(point["a"], point["n_d"], point["n"], point["gap"],
-                             point["mu"], point["link"])
-        spec = None
-        if point["mode"] in ("analytic", "both"):
-            spec = aggregator.spec_from_planning(planning)
-            report = aggregator.blocking(spec)
-            row["pb_analytic"] = _fmt(report.total)
-            row["pb_components"] = ";".join(_fmt(p) for p in report.per_rate)
-        if point["mode"] in ("simulate", "both"):
-            cfg = _sim_config(planning, point["kind"], point["shape"],
-                              point["events"], point["seed"])
-            stats = sim.run(cfg)
-            row.update({
-                "arrival": point["arrival"], "events": point["events"],
-                "seed": point["seed"],
-                "pb_sim": _fmt(stats.estimate_fha_flow),
-                "pb_sim_ci": _fmt(stats.ci_half_width),
-                "blocked_rru": stats.blocked_rru,
-                "blocked_fha": stats.blocked_fha,
-            })
-            if spec is not None:
-                row["agree"] = str(_agree_flag(_exact_total(spec, report),
-                                               stats.estimate_fha_flow, stats.stderr)).lower()
+        if point["mode"] != "simulate":
+            analytic = _analytic(planning)
+        if point["mode"] != "analytic":
+            cfg = sim.SimConfig.from_planning(planning, point["events"], point["seed"],
+                                              point["kind"], point["shape"])
+            simulated = (point["arrival"], sim.run(cfg))
+        agree = _agree(analytic, simulated)
     except Exception as exc:        # noqa: BLE001 - row-level isolation
-        log.error("grid point %s failed: %s", point, exc)
-        row["agree"] = "error"
-    row["wall_s"] = _fmt(time.perf_counter() - t0)
-    return row
-
-
-def _write_rows(path: str, rows: list[dict]) -> None:
-    new_file = not os.path.exists(path) or os.path.getsize(path) == 0
-    with open(path, "a", encoding="utf-8", newline="") as fh:
-        if new_file:
-            fh.write(",".join(CSV_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(str(row[c]) for c in CSV_COLUMNS) + "\n")
+        log.error("grid point a=%g n_d=%d gap=%d n=%d %s failed: %s", planning.traffic.a,
+                  planning.n_d, planning.threshold_gap, planning.cluster_size,
+                  point["arrival"], exc)
+        agree = "error"
+    return _row(planning, analytic, simulated, agree, time.perf_counter() - t0)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -337,11 +297,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     def emit(row: dict) -> None:
         nonlocal failed
         failed = failed or row["agree"] == "error"
-        out.write(",".join(str(row[c]) for c in CSV_COLUMNS) + "\n")
+        out.write(_csv_line(row.values()))
         out.flush()
 
     try:
-        out.write(",".join(CSV_COLUMNS) + "\n")
+        out.write(_csv_line(CSV_COLUMNS))
         if args.jobs <= 1:
             for point in points:
                 emit(_sweep_point(point))
@@ -445,7 +405,7 @@ def _suite_product_form(rng: np.random.Generator, count: int = 25) -> dict:
         cluster_size=4, rate_set=control.rate_set,
         link_capacity_mbps=2.5 * control.rate_set.rates[0],
         rates=rru.transition_rates(control))
-    negative_ok = aggregator.detailed_balance_check(tight, binomial_n="effective") > 1e-3
+    negative_ok = bool(aggregator.detailed_balance_check(tight, binomial_n="effective") > 1e-3)
     ok = worst_pi < 1e-8 and worst_db < 1e-10 and negative_ok
     return {"name": "product form vs direct solve", "specs": checked,
             "max_abs_err": worst_pi, "max_balance_residual": worst_db,
@@ -458,12 +418,11 @@ def _suite_sim_agreement() -> dict:
     results = []
     ok = True
     for a, n_d, n in points:
-        planning = _planning(a, n_d, n, 1)
+        planning = config_from_dict({"a": a, "n_d": n_d, "cluster_size": n})
         report = aggregator.blocking_for_planning(planning, binomial_n="true")
         seed = _coordinate_seed(0, a, n_d, 1, "poisson", n, 200_000)
-        stats = sim.run(_sim_config(planning, "poisson", 1.0, 200_000, seed))
-        diff = abs(report.total - stats.estimate_fha_flow)
-        point_ok = diff <= AGREE_SIGMA * stats.stderr or diff <= 1e-4
+        stats = sim.run(sim.SimConfig.from_planning(planning, 200_000, seed))
+        point_ok = _agree_flag(report.total, stats.estimate_fha_flow, stats.stderr)
         ok = ok and point_ok
         results.append({"a": a, "n_d": n_d, "n": n, "analytic": report.total,
                         "simulated": stats.estimate_fha_flow,

@@ -242,7 +242,8 @@ class PlanningConfig:
     thresholds: ThresholdPolicy = field(init=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.cluster_size, int) or self.cluster_size < 1:
+        if (not isinstance(self.cluster_size, int) or isinstance(self.cluster_size, bool)
+                or self.cluster_size < 1):
             raise InvalidConfigError("cluster_size", f"must be an integer >= 1, got {self.cluster_size!r}")
         if not self.link_capacity_mbps > 0:
             raise InvalidConfigError("fha_capacity_mbps", "must be positive")
@@ -339,8 +340,9 @@ def config_from_dict(raw: dict) -> PlanningConfig:
     )
 
 
-def load_config(path: str) -> PlanningConfig:
-    """Load and validate a JSON configuration file."""
+def load_config(path: str, threshold_gap: int | None = None) -> PlanningConfig:
+    """Load and validate a JSON configuration file; `threshold_gap`, when
+    given, replaces the file's gap before validation."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -348,4 +350,6 @@ def load_config(path: str) -> PlanningConfig:
         raise InvalidConfigError("<file>", f"cannot read {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidConfigError("<file>", f"invalid JSON in {path!r}: {exc}") from exc
+    if threshold_gap is not None and isinstance(raw, dict):
+        raw["threshold_gap"] = threshold_gap
     return config_from_dict(raw)

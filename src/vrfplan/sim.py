@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RateSet, ThresholdPolicy, TrafficSpec
+from .config import PlanningConfig, RateSet, ThresholdPolicy, TrafficSpec
 from .errors import InvalidConfigError, InvalidParameterError
 from .rru import RruChainSpec, transition_rates
 
@@ -79,14 +79,9 @@ class ArrivalProcess:
     def quantile(self, u: float) -> float:
         """Inverse CDF of the inter-arrival time at u in [0, 1)."""
         x = -math.log1p(-u)
-        if self.shape == 1.0:
-            return x / self.rate
-        return x ** (1.0 / self.shape) / self.rate
-
-
-def sample_interarrival(process: ArrivalProcess, rng: np.random.Generator) -> float:
-    """Draw one inter-arrival time from a seeded generator."""
-    return process.quantile(float(rng.random()))
+        if self.shape != 1.0:
+            x = x ** (1.0 / self.shape)
+        return x * (1.0 / self.rate)
 
 
 def reconfig_arrival_probability(rate: float, window: float, n: int) -> float:
@@ -142,6 +137,19 @@ class SimConfig:
         if not self.link_capacity_mbps > self.rate_set.rates[0]:
             raise InvalidConfigError("fha_capacity_mbps", "must exceed the lowest rate")
 
+    @classmethod
+    def from_planning(cls, planning: PlanningConfig, events: int, seed: int,
+                      kind: str = "poisson", shape: float = 1.0,
+                      latency: float = 0.0) -> SimConfig:
+        """One replication of a planning scenario; `shape` applies to
+        Weibull arrivals only."""
+        arrival = ArrivalProcess(kind=kind, rate=planning.traffic.lam,
+                                 shape=shape if kind == "weibull" else 1.0)
+        return cls(cluster_size=planning.cluster_size, rate_set=planning.rate_set,
+                   thresholds=planning.thresholds, traffic=planning.traffic,
+                   link_capacity_mbps=planning.link_capacity_mbps, arrival=arrival,
+                   events=events, seed=seed, reconfig_latency=latency)
+
 
 @dataclass(frozen=True)
 class SimStats:
@@ -185,48 +193,6 @@ class SimStats:
     batch_flow_total: tuple[float, ...]
 
 
-def rate_after_arrival(level: int, users_before: int, thresholds: ThresholdPolicy,
-                       server_count: int) -> int:
-    """Rate level after one more call is admitted.
-
-    Steps up exactly on the forward threshold; a first call wakes an
-    idle unit to level 1.
-    """
-    if level == 0:
-        if users_before != 0:
-            raise InvalidParameterError("an idle unit cannot hold calls")
-        return 1
-    top = len(thresholds.forward) + 1
-    forward = server_count if level == top else thresholds.forward[level - 1]
-    if users_before > forward:
-        raise InvalidParameterError(
-            f"users_before={users_before} exceeds the level-{level} forward threshold {forward}"
-        )
-    if users_before == forward:
-        if level == top:
-            raise InvalidParameterError(
-                "arrival at a full unit is a cause-1 block, not a rate change"
-            )
-        return level + 1
-    return level
-
-
-def rate_after_departure(level: int, users_after: int, thresholds: ThresholdPolicy) -> int:
-    """Rate level after one call leaves.
-
-    Steps down exactly on the reverse threshold; a unit emptying out
-    switches off to level 0.
-    """
-    if users_after < 0:
-        raise InvalidParameterError("users_after must be non-negative")
-    if level <= 0:
-        raise InvalidParameterError("departures require an active unit")
-    reverse = 0 if level == 1 else thresholds.reverse[level - 2]
-    if users_after == reverse:
-        return level - 1
-    return level
-
-
 def run(config: SimConfig) -> SimStats:
     """Run one replication and return its statistics.
 
@@ -242,21 +208,18 @@ def run(config: SimConfig) -> SimStats:
     b_c = config.link_capacity_mbps
     mu = config.traffic.mu
     latency = config.reconfig_latency
-    arrival = config.arrival
-    inv_rate = 1.0 / arrival.rate
-    weibull_exp = 1.0 / arrival.shape if arrival.kind == "weibull" else 0.0
+    interarrival = config.arrival.quantile
     capacity_limit = b_c + _CAPACITY_SLACK
 
-    # forward[l] and reverse_prev[l] indexed by current level l (1-based);
-    # forward of the top level is the server count, reverse below level 1 is 0
-    forward = [0] + list(config.thresholds.forward) + [big_k]
-    reverse_prev = [0, 0] + list(config.thresholds.reverse)
+    chain = RruChainSpec(rate_set=config.rate_set, thresholds=config.thresholds,
+                         traffic=config.traffic)
+    # forward[l] and reverse_prev[l] indexed by current level l (1-based)
+    forward = [0] + [chain.forward_at(lv) for lv in range(1, m + 1)]
+    reverse_prev = [0] + [chain.reverse_before(lv) for lv in range(1, m + 1)]
 
     # homogenized per-level upward rates of the analytic model, used only
     # to weight the censored-flow integrals
-    up = list(transition_rates(RruChainSpec(
-        rate_set=config.rate_set, thresholds=config.thresholds, traffic=config.traffic,
-    )).up)
+    up = list(transition_rates(chain).up)
 
     total_events = config.events
     warmup = total_events // 20
@@ -286,10 +249,8 @@ def run(config: SimConfig) -> SimStats:
 
     refill()
     for r in range(n):
-        u = buf[buf_pos]
+        dt = interarrival(buf[buf_pos])
         buf_pos += 1
-        x = -log1p(-u)
-        dt = (x ** weibull_exp if weibull_exp else x) * inv_rate
         push(heap, (dt, seq, _ARRIVAL, r, 0))
         seq += 1
 
@@ -367,10 +328,8 @@ def run(config: SimConfig) -> SimStats:
                 c_now = 0.0
                 for lv in range(1, m + 1):
                     c_now += at_level[lv] * d[lv - 1]
-            u = buf[buf_pos]
+            dt = interarrival(buf[buf_pos])
             buf_pos += 1
-            x = -log1p(-u)
-            dt = (x ** weibull_exp if weibull_exp else x) * inv_rate
             push(heap, (t + dt, seq, _ARRIVAL, r, 0))
             seq += 1
 

@@ -27,10 +27,11 @@ import time
 
 import numpy as np
 
-from vrfplan import aggregator, ctmc, rru, sim
-from vrfplan.cli import _coordinate_seed, _planning, _random_chain_spec
+from vrfplan import SimConfig, aggregator, config_from_dict, ctmc, rru, sim
+from vrfplan.cli import _coordinate_seed, _random_chain_spec
 
-from util import engset_marginal, erlang_b, mk_chain, sim_config
+from chain_reduction import band_ratio_oracle
+from util import engset_marginal, erlang_b, mk_chain
 
 EVENTS = 1_000_000
 
@@ -42,8 +43,8 @@ def _line(record, idx, passed, text):
 
 
 def _blocking(a, n_d, n, gap=1, convention="effective"):
-    return aggregator.blocking_for_planning(_planning(a, n_d, n, gap),
-                                            binomial_n=convention).total
+    planning = config_from_dict({"a": a, "n_d": n_d, "cluster_size": n, "threshold_gap": gap})
+    return aggregator.blocking_for_planning(planning, binomial_n=convention).total
 
 
 def _max_n_below(a, n_d, threshold, inclusive=False):
@@ -57,9 +58,9 @@ def _max_n_below(a, n_d, threshold, inclusive=False):
 
 
 def _simulate(a, n_d, n, kind, shape, label):
-    planning = _planning(a, n_d, n, 1)
+    planning = config_from_dict({"a": a, "n_d": n_d, "cluster_size": n})
     seed = _coordinate_seed(0, a, n_d, 1, label, n, EVENTS)
-    return sim.run(sim_config(planning, EVENTS, seed, kind=kind, shape=shape))
+    return sim.run(SimConfig.from_planning(planning, EVENTS, seed, kind=kind, shape=shape))
 
 
 # How finely a run of EVENTS events resolves a blocking probability, decided
@@ -94,33 +95,6 @@ def _same_magnitude(est, ref):
 # ---------------------------------------------------------------------------
 # 1. closed-form level coefficients vs chain-reduction oracle
 
-def _band_ratio_oracle(chain, level):
-    """Conditional in-band probability ratios from the full unit chain.
-
-    Uses the single-entry fold-back when every return into the band passes
-    through one state (bottom and top levels), and censors the out-of-band
-    block of the jump chain otherwise (interior levels re-enter from both
-    sides).
-    """
-    left = list(chain.partition_indices(level))
-    members = set(left)
-    right = [i for i in range(chain.q.shape[0]) if i not in members]
-    part = ctmc.Partition(left=tuple(left), right=tuple(right))
-    entry_cols = ()
-    if right:
-        q_rl = chain.q[np.ix_(right, left)]
-        entry_cols = np.nonzero(q_rl.sum(axis=0) > 0.0)[0]
-    if len(entry_cols) <= 1:
-        entry = left[int(entry_cols[0])] if len(entry_cols) else left[0]
-        cond = ctmc.fold_back_conditional(chain.q, part, entry)
-        method = "fold"
-    else:
-        jump = ctmc.uniformize(chain.q)
-        cond = ctmc.dtmc_steady_state(ctmc.stochastic_complement(jump, part))
-        method = "censor"
-    return cond / cond[0], method
-
-
 def test_level_coefficients_match_reduction_oracle(record_check):
     t0 = time.perf_counter()
     rng = np.random.default_rng(101)
@@ -131,7 +105,7 @@ def test_level_coefficients_match_reduction_oracle(record_check):
         chain = rru.build_global_chain(spec)
         for level in range(1, spec.level_count + 1):
             closed = rru.partition_coefficients(spec, level)
-            oracle, method = _band_ratio_oracle(chain, level)
+            oracle, method = band_ratio_oracle(chain, level)
             bands[method] += 1
             worst = max(worst, float(np.max(np.abs(closed / oracle - 1.0))))
     el = time.perf_counter() - t0
@@ -398,7 +372,7 @@ def test_single_level_reduces_to_textbook_forms(record_check):
 
     worst_en = 0.0
     for a_load, n in ((0.2, 12), (0.3, 10), (0.5, 9)):
-        planning = _planning(a_load, 1, n, 1)
+        planning = config_from_dict({"a": a_load, "n_d": 1, "cluster_size": n})
         spec = aggregator.spec_from_planning(planning)
         space = aggregator.enumerate_states(spec)
         probs = aggregator.product_form(spec, binomial_n="true", space=space)

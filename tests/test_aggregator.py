@@ -14,6 +14,7 @@ from vrfplan import (
     blocking,
     blocking_for_planning,
     build_generator,
+    config_from_dict,
     count_states,
     detailed_balance_check,
     enumerate_states,
@@ -24,7 +25,7 @@ from vrfplan import (
 )
 from vrfplan import aggregator, ctmc, rru
 
-from util import default_planning, engset_marginal, mk_chain
+from util import engset_marginal, mk_chain
 
 
 def toy_spec(n=6, bc=600.0, lam=1.5, mu=0.5):
@@ -63,7 +64,7 @@ def test_single_level_enumeration():
 
 
 def test_enumeration_leaves_no_garbage_cycles():
-    spec = spec_from_planning(default_planning(0.25, 3, 20))
+    spec = spec_from_planning(config_from_dict({"a": 0.25, "n_d": 3, "cluster_size": 20}))
     gc.collect()
     space = enumerate_states(spec)
     assert gc.collect() == 0
@@ -231,11 +232,11 @@ def test_blocking_components_sum_and_bound():
 
 
 def test_blocking_monotone_in_cluster_size_and_load():
-    totals = [blocking_for_planning(default_planning(0.25, 2, n)).total
-              for n in range(10, 17)]
+    totals = [blocking_for_planning(config_from_dict({"a": 0.25, "n_d": 2, "cluster_size": n}))
+              .total for n in range(10, 17)]
     assert all(b >= a - 1e-12 for a, b in zip(totals, totals[1:]))
-    by_load = [blocking_for_planning(default_planning(a, 2, 15)).total
-               for a in (0.2, 0.25, 0.3)]
+    by_load = [blocking_for_planning(config_from_dict({"a": a, "n_d": 2, "cluster_size": 15}))
+               .total for a in (0.2, 0.25, 0.3)]
     assert all(b >= a - 1e-12 for a, b in zip(by_load, by_load[1:]))
 
 
@@ -263,7 +264,7 @@ def test_unconstrained_link_recovers_independent_units():
 # planning glue and conventions
 
 def test_planning_glue_round_trip():
-    planning = default_planning(0.25, 3, 17)
+    planning = config_from_dict({"a": 0.25, "n_d": 3, "cluster_size": 17})
     spec = spec_from_planning(planning)
     assert spec.cluster_size == 17
     assert spec.rate_set.rates == (307.2, 614.4, 1228.8)
@@ -272,14 +273,16 @@ def test_planning_glue_round_trip():
 
 
 def test_binomial_conventions_agree_below_saturation():
-    planning = default_planning(0.25, 3, 17)   # 17 < link capacity / lowest rate
+    # 17 < link capacity / lowest rate
+    planning = config_from_dict({"a": 0.25, "n_d": 3, "cluster_size": 17})
     eff = blocking_for_planning(planning, binomial_n="effective")
     true = blocking_for_planning(planning, binomial_n="true")
     assert eff.total == pytest.approx(true.total, rel=1e-12)
 
 
 def test_binomial_conventions_differ_when_saturated():
-    planning = default_planning(0.2, 1, 9)     # link only carries 8 at the top rate
+    # the link only carries 8 at the top rate
+    planning = config_from_dict({"a": 0.2, "n_d": 1, "cluster_size": 9})
     eff = blocking_for_planning(planning, binomial_n="effective")
     true = blocking_for_planning(planning, binomial_n="true")
     assert eff.binomial_n == 8
@@ -310,7 +313,7 @@ def test_grid_path_matches_enumerated_oracle(monkeypatch):
     for a in (0.2, 0.3, 0.5):
         for n_d in range(1, 6):
             for n in (4, 8, 12, 16, 20):
-                spec = spec_from_planning(default_planning(a, n_d, n))
+                spec = spec_from_planning(config_from_dict({"a": a, "n_d": n_d, "cluster_size": n}))
                 space = enumerate_states(spec)
                 cases.append((spec, space, {conv: blocking(spec, conv, space=space)
                                             for conv in ("effective", "true")}))
@@ -328,7 +331,8 @@ def test_grid_path_at_link_edges():
                                           (2, 9, 10, 11, 14)):
         if link <= 1228.8 and n_d == 1:
             continue    # the link must exceed the lowest rate
-        spec = spec_from_planning(default_planning(0.3, n_d, n, link=link))
+        spec = spec_from_planning(config_from_dict(
+            {"a": 0.3, "n_d": n_d, "cluster_size": n, "fha_capacity_mbps": link}))
         space = enumerate_states(spec)
         assert count_states(spec) == len(space)
         for conv in ("effective", "true"):
@@ -352,7 +356,8 @@ def test_off_grid_rates_take_the_enumerated_path(monkeypatch):
 
 
 def test_hundreds_of_units_on_a_fat_link(monkeypatch):
-    spec = spec_from_planning(default_planning(0.25, 5, 400, link=200000.0))
+    spec = spec_from_planning(config_from_dict(
+        {"a": 0.25, "n_d": 5, "cluster_size": 400, "fha_capacity_mbps": 200000.0}))
     _no_enumeration(monkeypatch)
     for conv in ("effective", "true"):
         t0 = time.perf_counter()

@@ -1,0 +1,40 @@
+"""The public API: `vrfplan.__all__` is exactly what `__init__` imports."""
+
+import ast
+from pathlib import Path
+
+import vrfplan
+
+#: Names that left the public API: chain-reduction tools only the test
+#: oracles use (now in tests/chain_reduction.py), a sampler only tests
+#: called, and a copy of the switching rules.
+REMOVED = (
+    "Partition", "uniformize", "stochastic_complement", "fold_back_conditional",
+    "dtmc_steady_state", "sample_interarrival", "rate_after_arrival",
+    "rate_after_departure",
+)
+
+
+def _imported_names():
+    tree = ast.parse(Path(vrfplan.__file__).read_text(encoding="utf-8"))
+    return {alias.asname or alias.name
+            for node in tree.body if isinstance(node, ast.ImportFrom)
+            for alias in node.names}
+
+
+def test_all_is_sorted_and_resolves():
+    assert vrfplan.__all__ == sorted(vrfplan.__all__)
+    assert len(set(vrfplan.__all__)) == len(vrfplan.__all__)
+    for name in vrfplan.__all__:
+        assert getattr(vrfplan, name) is not None, name
+
+
+def test_all_equals_the_imported_names():
+    assert set(vrfplan.__all__) == _imported_names()
+
+
+def test_removed_names_stay_removed():
+    for name in REMOVED:
+        assert not hasattr(vrfplan, name), name
+        for module in (vrfplan.ctmc, vrfplan.sim):
+            assert not hasattr(module, name), (module.__name__, name)

@@ -233,6 +233,26 @@ def test_agreement_floor_at_both_ends():
     assert not _agree_flag(0.5, 0.6, 0.01)
 
 
+def test_sweep_simulate_mode_rows(tmp_path, capsys):
+    # mode "simulate" leaves the analytic columns and the agreement flag empty
+    plan = write_plan(tmp_path, a=[0.25], n_d=[3], n=[16], mode="simulate",
+                      events=100_000)
+    out = tmp_path / "simulated.csv"
+    assert main(["sweep", "--plan", plan, "--out", str(out)]) == 0
+    capsys.readouterr()
+    (row,) = rows_of(out)
+    assert [c for c in CSV_COLUMNS if row[c] == ""] == ["pb_analytic", "pb_components", "agree"]
+    assert row["arrival"] == "poisson" and row["events"] == "100000"
+    assert int(row["seed"]) == _coordinate_seed(0, 0.25, 3, 1, "poisson", 16, 100_000)
+
+
+def test_bool_cluster_size_is_a_configuration_error(tmp_path, capsys):
+    assert main(["sweep", "--plan", write_plan(tmp_path, a=[0.2], n_d=[1], n=[True])]) == 2
+    cfg = write_config(tmp_path, a=0.2, n_d=1, cluster_size=True)
+    assert main(["analyze", "--config", cfg]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_sweep_plan_validation(tmp_path, capsys):
     assert main(["sweep", "--plan", str(tmp_path / "nope.json")]) == 2
     assert main(["sweep", "--plan", write_plan(tmp_path, a=[0.2], n_d=[1])]) == 2
@@ -272,6 +292,8 @@ def test_validate_passes_and_reports(tmp_path, capsys):
     assert summary["status"] == "pass"
     names = [s["name"] for s in summary["suites"]]
     assert len(names) == 3
+    assert summary["suites"][1]["negative_control"] is True
+    assert all(p["agree"] is True for p in summary["suites"][2]["points"])
     assert json.loads(out.read_text())["status"] == "pass"
 
 

@@ -196,6 +196,14 @@ def test_config_from_dict_rejects_bad_types():
         config_from_dict({"a": 0.25, "n_d": 3, "cluster_size": True})
 
 
+def test_planning_config_rejects_bool_cluster_size():
+    # bool is an int subclass; True must not pass as a cluster of one
+    traffic = traffic_from_load(0.25, 0.5, 50)
+    with pytest.raises(InvalidConfigError, match="cluster_size"):
+        PlanningConfig(profile=default_profile(), n_d=3, threshold_gap=1,
+                       traffic=traffic, cluster_size=True)
+
+
 def test_load_config_round_trip(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"a": 0.2, "n_d": 2, "cluster_size": 12,
@@ -205,6 +213,15 @@ def test_load_config_round_trip(tmp_path):
     assert cfg.cluster_size == 12
     assert cfg.threshold_gap == 2
     assert cfg.traffic.mu == 1.0
+
+
+def test_load_config_gap_override_is_validated(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"a": 0.2, "n_d": 3, "cluster_size": 12, "threshold_gap": 2}))
+    assert load_config(str(path)).threshold_gap == 2
+    assert load_config(str(path), threshold_gap=4).threshold_gap == 4
+    with pytest.raises(InvalidConfigError, match="threshold_gap"):
+        load_config(str(path), threshold_gap=0)
 
 
 def test_load_config_bad_file(tmp_path):

@@ -1,18 +1,18 @@
-"""Chain solvers: stationary distributions, uniformization, censoring
-onto a sub-block, and the single-entry fold-back."""
+"""Chain solvers: the library's stationary solve, and the test-only
+reduction tools behind the closed-form oracles (uniformization, censoring
+onto a sub-block, and the single-entry fold-back)."""
 
 import math
 
 import numpy as np
 import pytest
 
-from vrfplan import (
-    InvalidParameterError,
+from vrfplan import InvalidParameterError, StructuralError, steady_state
+
+from chain_reduction import (
     Partition,
-    StructuralError,
     dtmc_steady_state,
     fold_back_conditional,
-    steady_state,
     stochastic_complement,
     uniformize,
 )

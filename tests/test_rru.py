@@ -11,6 +11,7 @@ from vrfplan import (
     InvalidParameterError,
     VrfError,
     build_global_chain,
+    config_from_dict,
     partition_coefficients,
     partition_distribution,
     rate_level_distribution,
@@ -18,7 +19,7 @@ from vrfplan import (
 )
 from vrfplan import ctmc, rru
 
-from util import default_planning, erlang_b, mk_chain
+from util import erlang_b, mk_chain
 
 
 def toy_chain(rho=1.5):
@@ -28,7 +29,7 @@ def toy_chain(rho=1.5):
 
 
 def unit_spec(a, n_d, gap):
-    planning = default_planning(a, n_d, 8, gap)
+    planning = config_from_dict({"a": a, "n_d": n_d, "cluster_size": 8, "threshold_gap": gap})
     return rru.RruChainSpec(rate_set=planning.rate_set, thresholds=planning.thresholds,
                             traffic=planning.traffic)
 

@@ -12,17 +12,21 @@ from vrfplan import (
     InvalidConfigError,
     InvalidParameterError,
     SimConfig,
-    ThresholdPolicy,
     blocking_for_planning,
-    rate_after_arrival,
-    rate_after_departure,
+    build_global_chain,
+    config_from_dict,
     reconfig_arrival_probability,
-    sample_interarrival,
     transition_rates,
 )
 from vrfplan import sim
 
-from util import TwoUnitExact, default_planning, erlang_b, mk_chain, sim_config
+from util import TwoUnitExact, erlang_b, mk_chain
+
+
+def draws(process, rng, count):
+    """Inter-arrival times by inversion of seeded uniforms, as `sim.run`
+    draws them."""
+    return np.array([process.quantile(u) for u in rng.random(count)])
 
 
 def batch_se(numer, denom):
@@ -51,7 +55,7 @@ def test_mean_interarrival():
 def test_shape_one_reduces_to_exponential():
     rng = np.random.default_rng(5)
     w = ArrivalProcess(kind="weibull", rate=2.0, shape=1.0)
-    samples = np.array([sample_interarrival(w, rng) for _ in range(100_000)])
+    samples = draws(w, rng, 100_000)
     d, p = sps.kstest(samples, sps.expon(scale=0.5).cdf)
     assert p > 0.01
 
@@ -59,7 +63,7 @@ def test_shape_one_reduces_to_exponential():
 def test_heavy_tail_sample_mean():
     rng = np.random.default_rng(7)
     w = ArrivalProcess(kind="weibull", rate=1.0, shape=0.9)
-    samples = np.array([sample_interarrival(w, rng) for _ in range(1_000_000)])
+    samples = draws(w, rng, 1_000_000)
     expect = math.gamma(1 + 1 / 0.9)
     assert expect == pytest.approx(1.0522, abs=5e-5)
     assert samples.mean() == pytest.approx(expect, rel=0.01)
@@ -69,7 +73,7 @@ def test_light_tail_sample_variance():
     rng = np.random.default_rng(11)
     k = 1.5
     w = ArrivalProcess(kind="weibull", rate=2.0, shape=k)
-    samples = np.array([sample_interarrival(w, rng) for _ in range(1_000_000)])
+    samples = draws(w, rng, 1_000_000)
     scale = 1.0 / 2.0
     expect = scale**2 * (math.gamma(1 + 2 / k) - math.gamma(1 + 1 / k) ** 2)
     assert samples.var() == pytest.approx(expect, rel=0.02)
@@ -120,41 +124,45 @@ def test_reconfig_probability_validation():
 
 
 # ---------------------------------------------------------------------------
-# switching rules
+# switching rules, as the unit chain the simulator's tables come from
 
-POLICY = ThresholdPolicy(forward=(3, 7), reverse=(2, 6))
+# forward (3, 7), reverse (2, 6), ten servers
+CHAIN = build_global_chain(mk_chain((1.0, 2.0, 3.0), (3, 7, 10), (3, 7), (2, 6), 1.0, 0.5))
+
+
+def moves(chain, users, level):
+    """States one event takes (users, level) to, by added and removed calls."""
+    row = chain.q[chain.index_of(users, level)]
+    targets = [chain.states[j] for j in np.nonzero(row > 0.0)[0]]
+    return ({s for s in targets if s[0] == users + 1},
+            {s for s in targets if s[0] == users - 1})
 
 
 def test_rate_after_arrival_rules():
-    assert rate_after_arrival(1, 3, POLICY, 10) == 2      # on the threshold
-    assert rate_after_arrival(0, 0, POLICY, 10) == 1      # wake-up
-    assert rate_after_arrival(2, 4, POLICY, 10) == 2      # interior
-    assert rate_after_arrival(3, 9, POLICY, 10) == 3      # below capacity
-    with pytest.raises(InvalidParameterError):
-        rate_after_arrival(0, 2, POLICY, 10)
-    with pytest.raises(InvalidParameterError):
-        rate_after_arrival(3, 10, POLICY, 10)             # full unit: cause-1 case
-    with pytest.raises(InvalidParameterError):
-        rate_after_arrival(1, 4, POLICY, 10)              # beyond the band
+    assert moves(CHAIN, 3, 1)[0] == {(4, 2)}      # on the threshold
+    assert moves(CHAIN, 0, 0)[0] == {(1, 1)}      # wake-up
+    assert moves(CHAIN, 4, 2)[0] == {(5, 2)}      # interior
+    assert moves(CHAIN, 9, 3)[0] == {(10, 3)}     # below capacity
+    assert moves(CHAIN, 10, 3)[0] == set()        # full unit: cause-1 case
+    assert (2, 0) not in CHAIN.states             # an idle unit holds no calls
+    assert (4, 1) not in CHAIN.states             # beyond the band
 
 
 def test_rate_after_departure_rules():
-    assert rate_after_departure(2, 2, POLICY) == 1        # on the reverse threshold
-    assert rate_after_departure(1, 0, POLICY) == 0        # switches off
-    assert rate_after_departure(3, 7, POLICY) == 3        # interior
-    assert rate_after_departure(2, 3, POLICY) == 2
-    with pytest.raises(InvalidParameterError):
-        rate_after_departure(0, 0, POLICY)
-    with pytest.raises(InvalidParameterError):
-        rate_after_departure(1, -1, POLICY)
+    assert moves(CHAIN, 3, 2)[1] == {(2, 1)}      # on the reverse threshold
+    assert moves(CHAIN, 1, 1)[1] == {(0, 0)}      # switches off
+    assert moves(CHAIN, 8, 3)[1] == {(7, 3)}      # interior
+    assert moves(CHAIN, 4, 2)[1] == {(3, 2)}
+    assert moves(CHAIN, 0, 0)[1] == set()         # departures need an active unit
+    assert (0, 1) not in CHAIN.states             # no call count below zero
 
 
 # ---------------------------------------------------------------------------
 # configuration validation
 
 def test_sim_config_validation():
-    planning = default_planning(0.25, 2, 10)
-    good = sim_config(planning, 200_000, 1)
+    planning = config_from_dict({"a": 0.25, "n_d": 2, "cluster_size": 10})
+    good = SimConfig.from_planning(planning, 200_000, 1)
     with pytest.raises(InvalidConfigError):
         sim.SimConfig(**{**good.__dict__, "events": 10_000})
     with pytest.raises(InvalidConfigError):
@@ -173,8 +181,8 @@ def test_sim_config_validation():
 
 def test_conservation_and_batches():
     for kind, shape in (("poisson", 1.0), ("weibull", 1.5), ("weibull", 0.9)):
-        planning = default_planning(0.3, 3, 15)
-        stats = sim.run(sim_config(planning, 150_000, 3, kind=kind, shape=shape))
+        planning = config_from_dict({"a": 0.3, "n_d": 3, "cluster_size": 15})
+        stats = sim.run(SimConfig.from_planning(planning, 150_000, 3, kind=kind, shape=shape))
         assert stats.arrivals == stats.accepted + stats.blocked_rru + stats.blocked_fha
         assert stats.events_processed == 150_000
         assert stats.warmup_events == 7_500
@@ -186,38 +194,41 @@ def test_conservation_and_batches():
 
 
 def test_bit_identical_reruns():
-    planning = default_planning(0.25, 3, 16)
-    a = sim.run(sim_config(planning, 120_000, 99))
-    b = sim.run(sim_config(planning, 120_000, 99))
+    planning = config_from_dict({"a": 0.25, "n_d": 3, "cluster_size": 16})
+    a = sim.run(SimConfig.from_planning(planning, 120_000, 99))
+    b = sim.run(SimConfig.from_planning(planning, 120_000, 99))
     assert a == b
 
 
 def test_seed_changes_outcome():
-    planning = default_planning(0.25, 3, 16)
-    a = sim.run(sim_config(planning, 120_000, 1))
-    b = sim.run(sim_config(planning, 120_000, 2))
+    planning = config_from_dict({"a": 0.25, "n_d": 3, "cluster_size": 16})
+    a = sim.run(SimConfig.from_planning(planning, 120_000, 1))
+    b = sim.run(SimConfig.from_planning(planning, 120_000, 2))
     assert a.arrivals != b.arrivals or a.blocked_fha != b.blocked_fha
 
 
 def test_capacity_is_never_exceeded():
-    planning = default_planning(0.3, 2, 16)      # heavily saturated link
-    stats = sim.run(sim_config(planning, 150_000, 13))
+    # a heavily saturated link
+    planning = config_from_dict({"a": 0.3, "n_d": 2, "cluster_size": 16})
+    stats = sim.run(SimConfig.from_planning(planning, 150_000, 13))
     assert stats.c_max <= planning.link_capacity_mbps + 1e-6
     # integral average can sit an epsilon above the max when pinned there
     assert 0.0 < stats.c_time_average <= stats.c_max + 1e-6
 
 
 def test_under_capacity_cluster_never_blocks_on_link():
-    planning = default_planning(0.2, 1, 8)       # 8 x 1228.8 fits in 10000
-    stats = sim.run(sim_config(planning, 1_000_000, 17))
+    # 8 x 1228.8 fits in 10000
+    planning = config_from_dict({"a": 0.2, "n_d": 1, "cluster_size": 8})
+    stats = sim.run(SimConfig.from_planning(planning, 1_000_000, 17))
     assert stats.blocked_fha == 0
     assert stats.estimate_fha_flow == 0.0
     assert stats.c_max <= 8 * 1228.8 + 1e-9
 
 
 def test_oversubscribed_cluster_blocks_on_link():
-    planning = default_planning(0.2, 1, 9)       # 9 x 1228.8 exceeds 10000
-    stats = sim.run(sim_config(planning, 1_000_000, 19))
+    # 9 x 1228.8 exceeds 10000
+    planning = config_from_dict({"a": 0.2, "n_d": 1, "cluster_size": 9})
+    stats = sim.run(SimConfig.from_planning(planning, 1_000_000, 19))
     assert stats.blocked_fha > 0
 
 
@@ -262,9 +273,9 @@ def test_two_unit_cluster_matches_exact_chain():
 def test_flow_estimate_matches_exact_single_level_model():
     # one rate level: the cluster chain solves exactly, so the flow-share
     # estimate must land on the analytic value
-    planning = default_planning(0.2, 1, 9)
+    planning = config_from_dict({"a": 0.2, "n_d": 1, "cluster_size": 9})
     report = blocking_for_planning(planning, binomial_n="true")
-    stats = sim.run(sim_config(planning, 300_000, 77))
+    stats = sim.run(SimConfig.from_planning(planning, 300_000, 77))
     assert abs(stats.estimate_fha_flow - report.total) <= 3 * stats.stderr
 
 
@@ -272,9 +283,9 @@ def test_flow_estimate_matches_exact_single_level_model():
 # delayed downgrades
 
 def test_latency_defers_downgrades():
-    planning = default_planning(0.3, 3, 14)
-    immediate = sim.run(sim_config(planning, 200_000, 42))
-    delayed = sim.run(sim_config(planning, 200_000, 42, latency=10.0))
+    planning = config_from_dict({"a": 0.3, "n_d": 3, "cluster_size": 14})
+    immediate = sim.run(SimConfig.from_planning(planning, 200_000, 42))
+    delayed = sim.run(SimConfig.from_planning(planning, 200_000, 42, latency=10.0))
     assert delayed.arrivals == delayed.accepted + delayed.blocked_rru + delayed.blocked_fha
     # units linger at high rates, so the average carried rate goes up
     assert delayed.c_time_average > immediate.c_time_average + 500.0
@@ -282,6 +293,6 @@ def test_latency_defers_downgrades():
 
 
 def test_zero_latency_equals_default():
-    planning = default_planning(0.25, 2, 12)
-    assert sim.run(sim_config(planning, 120_000, 5)) == sim.run(
-        sim_config(planning, 120_000, 5, latency=0.0))
+    planning = config_from_dict({"a": 0.25, "n_d": 2, "cluster_size": 12})
+    assert sim.run(SimConfig.from_planning(planning, 120_000, 5)) == sim.run(
+        SimConfig.from_planning(planning, 120_000, 5, latency=0.0))

@@ -12,18 +12,7 @@ import math
 
 import numpy as np
 
-from vrfplan import (
-    ArrivalProcess,
-    PlanningConfig,
-    RateSet,
-    RruChainSpec,
-    SimConfig,
-    ThresholdPolicy,
-    TrafficSpec,
-    default_profile,
-    select_rates,
-    traffic_from_load,
-)
+from vrfplan import RateSet, RruChainSpec, ThresholdPolicy, TrafficSpec
 from vrfplan import ctmc
 
 
@@ -48,27 +37,6 @@ def mk_chain(rates, caps, forward, reverse, lam, mu) -> RruChainSpec:
         thresholds=ThresholdPolicy(forward=tuple(forward), reverse=tuple(reverse)),
         traffic=TrafficSpec(lam=lam, mu=mu, a=lam / (caps[-1] * mu), server_count=caps[-1]),
     )
-
-
-def default_planning(a: float, n_d: int, n: int, gap: int = 1,
-                     mu: float = 0.5, link: float = 10000.0) -> PlanningConfig:
-    profile = default_profile()
-    server_count = select_rates(profile, n_d).server_count
-    return PlanningConfig(profile=profile, n_d=n_d, threshold_gap=gap,
-                          traffic=traffic_from_load(a, mu, server_count),
-                          cluster_size=n, link_capacity_mbps=link)
-
-
-def sim_config(planning: PlanningConfig, events: int, seed: int,
-               kind: str = "poisson", shape: float = 1.0,
-               latency: float = 0.0) -> SimConfig:
-    arrival = ArrivalProcess(kind=kind, rate=planning.traffic.lam,
-                             shape=shape if kind == "weibull" else 1.0)
-    return SimConfig(cluster_size=planning.cluster_size, rate_set=planning.rate_set,
-                     thresholds=planning.thresholds, traffic=planning.traffic,
-                     link_capacity_mbps=planning.link_capacity_mbps,
-                     arrival=arrival, events=events, seed=seed,
-                     reconfig_latency=latency)
 
 
 class TwoUnitExact:
