@@ -218,7 +218,9 @@ _PLAN_DEFAULTS = {
 _PLAN_KEYS = {"a", "n_d", "n"} | set(_PLAN_DEFAULTS)
 
 
-def _load_plan(path: str) -> dict:
+def _load_plan(path: str, events: int | None = None, base_seed: int | None = None) -> dict:
+    """Read and validate a sweep plan; `events` and `base_seed` override
+    the plan's values before validation, as the CLI flags do."""
     try:
         with open(path, encoding="utf-8") as fh:
             plan = json.load(fh)
@@ -234,11 +236,21 @@ def _load_plan(path: str) -> dict:
             raise VrfError(f"plan key {key!r} must be a non-empty list")
     merged = dict(_PLAN_DEFAULTS)
     merged.update(plan)
+    if events is not None:
+        merged["events"] = events
+    if base_seed is not None:
+        merged["base_seed"] = base_seed
     if merged["mode"] not in ("analytic", "simulate", "both"):
         raise VrfError(f"plan mode must be analytic, simulate or both, got {merged['mode']!r}")
     for key in ("gap", "arrival"):
         if not isinstance(merged[key], list) or not merged[key]:
             raise VrfError(f"plan key {key!r} must be a non-empty list")
+    for key in ("events", "base_seed"):
+        if not isinstance(merged[key], int) or isinstance(merged[key], bool):
+            raise VrfError(f"plan key {key!r} must be an integer, got {merged[key]!r}")
+    if merged["events"] < sim.MIN_EVENTS:
+        raise VrfError(f"plan key 'events' must be at least {sim.MIN_EVENTS}, "
+                       f"got {merged['events']}")
     return merged
 
 
@@ -284,11 +296,7 @@ def _sweep_point(point: dict) -> dict:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    plan = _load_plan(args.plan)
-    if args.events is not None:
-        plan["events"] = args.events
-    if args.seed is not None:
-        plan["base_seed"] = args.seed
+    plan = _load_plan(args.plan, args.events, args.seed)
     points = _plan_points(plan)
     log.info("sweep: %d grid points, mode %s, jobs %d", len(points), plan["mode"], args.jobs)
     out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8", newline="")

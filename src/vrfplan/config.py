@@ -205,7 +205,8 @@ class TrafficSpec:
     def __post_init__(self) -> None:
         if self.lam <= 0 or self.mu <= 0:
             raise InvalidConfigError("traffic", "lambda and mu must be positive")
-        if not isinstance(self.server_count, int) or self.server_count < 1:
+        if (not isinstance(self.server_count, int) or isinstance(self.server_count, bool)
+                or self.server_count < 1):
             raise InvalidConfigError("server_count", f"must be an integer >= 1, got {self.server_count!r}")
         if not math.isclose(self.a, self.lam / (self.server_count * self.mu), rel_tol=1e-12):
             raise InvalidConfigError("a", "must equal lambda / (server_count * mu) exactly")

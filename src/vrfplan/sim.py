@@ -17,9 +17,15 @@ blocking probability and the quantity compared against it. The two
 differ in heavy blocking because a unit pinned on a forward threshold
 retries on every arrival, which the call-level average weights.
 
-The random stream comes from a counter-based Philox generator keyed by
-the config seed, so identical configurations reproduce bit-identical
-statistics on any platform.
+`run` keeps one future-event heap. The warm-up and each of the
+`BATCH_COUNT` batches run as a segment of their own, an inner loop with
+plain local counters; the load and flow integrals advance only when the
+occupancy changes. The random stream comes from a counter-based Philox
+generator keyed by the config seed. Its uniforms are drawn in blocks, and
+each block is transformed once in numpy into two lists, inter-arrival
+times and holding times, whose positions are consumed in stream order.
+Identical configurations therefore reproduce bit-identical statistics,
+whatever the block size, on a given platform and numpy build.
 """
 
 from __future__ import annotations
@@ -43,7 +49,8 @@ BATCH_COUNT = 20
 T_QUANTILE = 2.0930240544083087
 #: Slack for floating-point capacity comparisons (Mbit/s).
 _CAPACITY_SLACK = 1e-6
-_UNIFORM_BLOCK = 1 << 16
+#: Uniforms drawn and transformed at a time; the outcome does not depend on it.
+_UNIFORM_BLOCK = 1 << 12
 
 _ARRIVAL, _DEPARTURE, _EXPIRY = 0, 1, 2
 
@@ -76,9 +83,10 @@ class ArrivalProcess:
     def mean_interarrival(self) -> float:
         return math.gamma(1.0 + 1.0 / self.shape) / self.rate
 
-    def quantile(self, u: float) -> float:
-        """Inverse CDF of the inter-arrival time at u in [0, 1)."""
-        x = -math.log1p(-u)
+    def quantile(self, u: float | np.ndarray) -> float | np.ndarray:
+        """Inverse CDF of the inter-arrival time at u in [0, 1), elementwise
+        over an array of uniforms."""
+        x = -np.log1p(-u)
         if self.shape != 1.0:
             x = x ** (1.0 / self.shape)
         return x * (1.0 / self.rate)
@@ -110,7 +118,8 @@ class SimConfig:
     reconfig_latency: float = 0.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.cluster_size, int) or self.cluster_size < 1:
+        if (not isinstance(self.cluster_size, int) or isinstance(self.cluster_size, bool)
+                or self.cluster_size < 1):
             raise InvalidConfigError("cluster_size", f"must be an integer >= 1, got {self.cluster_size!r}")
         if not isinstance(self.events, int) or self.events < MIN_EVENTS:
             raise InvalidConfigError(
@@ -198,8 +207,23 @@ def run(config: SimConfig) -> SimStats:
 
     Event-driven with a single future-event heap; ties broken by push
     order for determinism. The first 5% of events warm the system up and
-    are excluded from every counter; the rest split into equal batches
-    whose means yield the confidence interval.
+    are excluded from every counter; the rest split into `BATCH_COUNT`
+    equal batches whose means yield the confidence interval.
+
+    The warm-up and each batch run as one segment: an inner loop over the
+    segment's events with plain local counters, whose totals are appended
+    as the batch's entry when the segment ends. Expiries of delayed
+    downgrades are not counted as events and belong to the segment they
+    fall in. The load and flow integrals advance only when the occupancy
+    changes, which is when the load and the flow rates change, and once
+    more at each segment end.
+
+    Uniforms are drawn `_UNIFORM_BLOCK` at a time. Each block is
+    transformed once, in numpy, into a list of inter-arrival times
+    (`ArrivalProcess.quantile`) and a list of exponential holding times.
+    Every position is consumed once, in stream order, as the gap to a
+    unit's next arrival or as the holding time of an accepted call, so the
+    block size does not change the outcome.
     """
     n = config.cluster_size
     m = config.rate_set.count
@@ -208,14 +232,23 @@ def run(config: SimConfig) -> SimStats:
     b_c = config.link_capacity_mbps
     mu = config.traffic.mu
     latency = config.reconfig_latency
-    interarrival = config.arrival.quantile
+    quantile = config.arrival.quantile
     capacity_limit = b_c + _CAPACITY_SLACK
+    block = _UNIFORM_BLOCK
 
     chain = RruChainSpec(rate_set=config.rate_set, thresholds=config.thresholds,
                          traffic=config.traffic)
-    # forward[l] and reverse_prev[l] indexed by current level l (1-based)
+    # forward[l] and reverse_prev[l] indexed by current level l (1-based);
+    # an idle unit (l = 0) wakes up on its first call
     forward = [0] + [chain.forward_at(lv) for lv in range(1, m + 1)]
     reverse_prev = [0] + [chain.reverse_before(lv) for lv in range(1, m + 1)]
+    # rate an upgrade out of level l adds to the link
+    step_up = [d[0]] + [d[lv] - d[lv - 1] for lv in range(1, m)]
+    # hysteresis band (band_low[l], forward[l]] of the user count at level l
+    band_low = [-1] + reverse_prev[1:]
+    # without a reconfiguration latency a unit steps down at the reverse
+    # threshold itself, and its user count never leaves the band
+    immediate = latency == 0.0
 
     # homogenized per-level upward rates of the analytic model, used only
     # to weight the censored-flow integrals
@@ -224,10 +257,15 @@ def run(config: SimConfig) -> SimStats:
     total_events = config.events
     warmup = total_events // 20
     batch_size = max(1, (total_events - warmup) // BATCH_COUNT)
+    segment_ends = ([warmup] + [warmup + (i + 1) * batch_size for i in range(BATCH_COUNT - 1)]
+                    + [total_events])
 
     rng = np.random.Generator(np.random.Philox(key=config.seed))
-    buf: list[float] = []
-    buf_pos = 0
+
+    def draw() -> tuple[list[float], list[float]]:
+        """The next block's inter-arrival and holding times."""
+        u = rng.random(block)
+        return quantile(u).tolist(), (-np.log1p(-u) / mu).tolist()
 
     users = [0] * n
     level = [0] * n
@@ -235,190 +273,164 @@ def run(config: SimConfig) -> SimStats:
     at_level[0] = n
     pending = [0] * n
 
-    heap: list[tuple[float, int, int, int, int]] = []
-    push = heapq.heappush
-    pop = heapq.heappop
-    seq = 0
-
-    log1p = math.log1p
-
-    def refill() -> None:
-        nonlocal buf, buf_pos
-        buf = rng.random(_UNIFORM_BLOCK).tolist()
-        buf_pos = 0
-
-    refill()
-    for r in range(n):
-        dt = interarrival(buf[buf_pos])
-        buf_pos += 1
-        push(heap, (dt, seq, _ARRIVAL, r, 0))
-        seq += 1
-
-    arrivals = accepted = blocked_rru = blocked_fha = attempts = 0
-    b_arr = [0] * BATCH_COUNT
-    b_rru = [0] * BATCH_COUNT
-    b_fha = [0] * BATCH_COUNT
-    b_att = [0] * BATCH_COUNT
-    b_fnum = [0.0] * BATCH_COUNT
-    b_fden = [0.0] * BATCH_COUNT
-
-    c_now = 0.0
-    c_max = 0.0
-    c_integral = 0.0
-    flow_num = flow_den = 0.0
-    t_mark = 0.0
-    t_start = 0.0
-    processed = 0
-    counting = False
-    batch = 0
-
-    def flow_rates() -> tuple[float, float]:
-        """Current censored and total upward-flow rates."""
-        den = at_level[0] * up[0]
-        num = den if at_level[0] and c_now + d[0] > capacity_limit else 0.0
-        for lv in range(1, m):
+    def occupancy_rates() -> tuple[float, float, float]:
+        """Aggregate rate, summed afresh from the level counts, and the
+        censored and total upward-flow rates; a level's upgrades are
+        censored when the link would refuse them, by the admission rule."""
+        c = 0.0
+        for lv in range(1, m + 1):
+            c += at_level[lv] * d[lv - 1]
+        num = den = 0.0
+        for lv in range(m):
             f = at_level[lv] * up[lv]
             den += f
-            if f and c_now + d[lv] - d[lv - 1] > capacity_limit:
+            if c + step_up[lv] > capacity_limit:
                 num += f
-        return num, den
+        return c, num, den
 
-    num_rate, den_rate = flow_rates()
+    heap: list[tuple[float, int, int, int, int]] = []
+    heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace
+    gaps, holds = draw()
+    pos = 0
+    for r in range(n):
+        if pos == block:
+            gaps, holds = draw()
+            pos = 0
+        heappush(heap, (gaps[pos], r, _ARRIVAL, r, 0))
+        pos += 1
+    seq = n
 
-    while processed < total_events:
-        t, _, kind, r, token = pop(heap)
+    c_now, num_rate, den_rate = occupancy_rates()
+    c_max = 0.0
+    t = t_mark = t_start = 0.0
+    processed = 0
+    # per batch: arrivals, accepted, blocked_rru, blocked_fha, attempts,
+    # censored and total flow, load integral
+    batches: list[tuple[int, int, int, int, int, float, float, float]] = []
 
-        if kind == _EXPIRY:
-            # delayed downgrade: only the newest request per unit survives,
-            # and only if the unit never climbed back above the threshold
-            lv = level[r]
-            if token == pending[r] and lv >= 1 and users[r] <= reverse_prev[lv]:
-                if counting:
+    for segment, end in enumerate(segment_ends):
+        arr = acc = rru = fha = att = 0
+        c_int = f_num = f_den = 0.0
+        while processed < end:
+            t, _, kind, r, token = heap[0]
+
+            if kind == _ARRIVAL:
+                # schedule the unit's next arrival in place of this one
+                if pos == block:
+                    gaps, holds = draw()
+                    pos = 0
+                heapreplace(heap, (t + gaps[pos], seq, _ARRIVAL, r, 0))
+                pos += 1
+                seq += 1
+                processed += 1
+                arr += 1
+                cur = users[r]
+                if cur == big_k:
+                    rru += 1
+                    continue
+                lv = level[r]
+                if cur == forward[lv]:
+                    att += 1
+                    if c_now + step_up[lv] > capacity_limit:
+                        fha += 1
+                        continue
                     dt = t - t_mark
-                    c_integral += c_now * dt
-                    flow_num += num_rate * dt
-                    flow_den += den_rate * dt
-                    b_fnum[batch] += num_rate * dt
-                    b_fden[batch] += den_rate * dt
+                    c_int += c_now * dt
+                    f_num += num_rate * dt
+                    f_den += den_rate * dt
                     t_mark = t
-                at_level[lv] -= 1
-                at_level[lv - 1] += 1
-                c_now -= d[lv - 1] - (d[lv - 2] if lv >= 2 else 0.0)
-                level[r] = lv - 1
-                num_rate, den_rate = flow_rates()
-                if lv - 1 >= 1 and users[r] <= reverse_prev[lv - 1]:
-                    pending[r] += 1
-                    push(heap, (t + latency, seq, _EXPIRY, r, pending[r]))
-                    seq += 1
-            continue
-
-        if counting:
-            dt = t - t_mark
-            c_integral += c_now * dt
-            flow_num += num_rate * dt
-            flow_den += den_rate * dt
-            b_fnum[batch] += num_rate * dt
-            b_fden[batch] += den_rate * dt
-            t_mark = t
-
-        if kind == _ARRIVAL:
-            # schedule the unit's next arrival before handling this one
-            if buf_pos == _UNIFORM_BLOCK:
-                refill()
-                c_now = 0.0
-                for lv in range(1, m + 1):
-                    c_now += at_level[lv] * d[lv - 1]
-            dt = interarrival(buf[buf_pos])
-            buf_pos += 1
-            push(heap, (t + dt, seq, _ARRIVAL, r, 0))
-            seq += 1
-
-            arrivals += 1
-            if counting:
-                b_arr[batch] += 1
-            lv = level[r]
-            cur_users = users[r]
-            if cur_users == big_k:
-                blocked_rru += 1
-                if counting:
-                    b_rru[batch] += 1
-            else:
-                if lv == 0:
-                    step = d[0]
-                elif cur_users == forward[lv]:
-                    step = d[lv] - d[lv - 1]
-                else:
-                    step = 0.0
-                if step > 0.0:
-                    attempts += 1
-                    if counting:
-                        b_att[batch] += 1
-                    admit = c_now + step <= capacity_limit
-                else:
-                    admit = True
-                if not admit:
-                    blocked_fha += 1
-                    if counting:
-                        b_fha[batch] += 1
-                else:
-                    accepted += 1
-                    if step > 0.0:
-                        at_level[lv] -= 1
-                        at_level[lv + 1] += 1
-                        level[r] = lv + 1
-                        c_now += step
-                        if c_now > c_max:
-                            c_max = c_now
-                        num_rate, den_rate = flow_rates()
-                    users[r] = cur_users + 1
-                    if buf_pos == _UNIFORM_BLOCK:
-                        refill()
-                    u = buf[buf_pos]
-                    buf_pos += 1
-                    push(heap, (t - log1p(-u) / mu, seq, _DEPARTURE, r, 0))
-                    seq += 1
-
-        else:
-            users[r] -= 1
-            lv = level[r]
-            if users[r] == reverse_prev[lv]:
-                if latency == 0.0:
                     at_level[lv] -= 1
-                    at_level[lv - 1] += 1
-                    c_now -= d[lv - 1] - (d[lv - 2] if lv >= 2 else 0.0)
-                    level[r] = lv - 1
-                    num_rate, den_rate = flow_rates()
-                else:
-                    pending[r] += 1
-                    push(heap, (t + latency, seq, _EXPIRY, r, pending[r]))
-                    seq += 1
+                    lv += 1
+                    at_level[lv] += 1
+                    level[r] = lv
+                    c_now, num_rate, den_rate = occupancy_rates()
+                    if c_now > c_max:
+                        c_max = c_now
+                        if c_max > capacity_limit:
+                            raise AssertionError(
+                                f"capacity violated: aggregate rate {c_now:.6f} exceeds {b_c:.6f}"
+                            )
+                acc += 1
+                cur += 1
+                users[r] = cur
+                if pos == block:
+                    gaps, holds = draw()
+                    pos = 0
+                heappush(heap, (t + holds[pos], seq, _DEPARTURE, r, 0))
+                pos += 1
+                seq += 1
 
-        processed += 1
-        if counting:
-            if processed - warmup >= (batch + 1) * batch_size and batch < BATCH_COUNT - 1:
-                batch += 1
-        elif processed >= warmup:
-            counting = True
-            t_mark = t
-            t_start = t
-            arrivals = accepted = blocked_rru = blocked_fha = attempts = 0
+            elif kind == _DEPARTURE:
+                heappop(heap)
+                processed += 1
+                cur = users[r] - 1
+                users[r] = cur
+                lv = level[r]
+                if cur == reverse_prev[lv]:
+                    if immediate:
+                        dt = t - t_mark
+                        c_int += c_now * dt
+                        f_num += num_rate * dt
+                        f_den += den_rate * dt
+                        t_mark = t
+                        at_level[lv] -= 1
+                        lv -= 1
+                        at_level[lv] += 1
+                        level[r] = lv
+                        c_now, num_rate, den_rate = occupancy_rates()
+                    else:
+                        pending[r] += 1
+                        heappush(heap, (t + latency, seq, _EXPIRY, r, pending[r]))
+                        seq += 1
 
-        if c_now > capacity_limit:
-            raise AssertionError(
-                f"capacity violated: aggregate rate {c_now:.6f} exceeds {b_c:.6f}"
-            )
-        if latency == 0.0:
-            lv = level[r]
-            if lv == 0:
-                if users[r] != 0:
-                    raise AssertionError(f"idle unit {r} holds {users[r]} calls")
-            elif not reverse_prev[lv] < users[r] <= forward[lv]:
+            else:
+                # delayed downgrade: only the newest request per unit survives,
+                # and only if the unit never climbed back above the threshold
+                heappop(heap)
+                lv = level[r]
+                if token == pending[r] and lv >= 1 and users[r] <= reverse_prev[lv]:
+                    dt = t - t_mark
+                    c_int += c_now * dt
+                    f_num += num_rate * dt
+                    f_den += den_rate * dt
+                    t_mark = t
+                    at_level[lv] -= 1
+                    lv -= 1
+                    at_level[lv] += 1
+                    level[r] = lv
+                    c_now, num_rate, den_rate = occupancy_rates()
+                    if lv >= 1 and users[r] <= reverse_prev[lv]:
+                        pending[r] += 1
+                        heappush(heap, (t + latency, seq, _EXPIRY, r, pending[r]))
+                        seq += 1
+                continue
+
+            if immediate and not band_low[lv] < cur <= forward[lv]:
                 raise AssertionError(
-                    f"unit {r} outside its hysteresis band: users={users[r]}, level={lv}"
+                    f"idle unit {r} holds {cur} calls" if lv == 0 else
+                    f"unit {r} outside its hysteresis band: users={cur}, level={lv}"
                 )
 
-    if arrivals != accepted + blocked_rru + blocked_fha:
-        raise AssertionError("arrival conservation violated")
+        # close the segment at its last counted event
+        dt = t - t_mark
+        c_int += c_now * dt
+        f_num += num_rate * dt
+        f_den += den_rate * dt
+        t_mark = t
+        if segment == 0:
+            t_start = t
+            continue
+        if arr != acc + rru + fha:
+            raise AssertionError(f"arrival conservation violated in batch {segment - 1}")
+        batches.append((arr, acc, rru, fha, att, f_num, f_den, c_int))
+
+    b_arr, b_acc, b_rru, b_fha, b_att, b_fnum, b_fden, b_cint = zip(*batches)
+    arrivals = sum(b_arr)
+    blocked_rru = sum(b_rru)
+    blocked_fha = sum(b_fha)
+    attempts = sum(b_att)
+    flow_num = math.fsum(b_fnum)
+    flow_den = math.fsum(b_fden)
 
     elapsed = t_mark - t_start
     means = [
@@ -430,7 +442,7 @@ def run(config: SimConfig) -> SimStats:
 
     return SimStats(
         arrivals=arrivals,
-        accepted=accepted,
+        accepted=sum(b_acc),
         blocked_rru=blocked_rru,
         blocked_fha=blocked_fha,
         upgrade_attempts=attempts,
@@ -441,15 +453,15 @@ def run(config: SimConfig) -> SimStats:
         estimate_fha_per_arrival=blocked_fha / arrivals if arrivals else 0.0,
         estimate_rru_per_arrival=blocked_rru / arrivals if arrivals else 0.0,
         estimate_total_per_arrival=(blocked_rru + blocked_fha) / arrivals if arrivals else 0.0,
-        c_time_average=c_integral / elapsed if elapsed > 0 else 0.0,
+        c_time_average=math.fsum(b_cint) / elapsed if elapsed > 0 else 0.0,
         c_max=c_max,
         events_processed=processed,
         warmup_events=warmup,
         seed=config.seed,
-        batch_arrivals=tuple(b_arr),
-        batch_blocked_rru=tuple(b_rru),
-        batch_blocked_fha=tuple(b_fha),
-        batch_attempts=tuple(b_att),
-        batch_flow_blocked=tuple(b_fnum),
-        batch_flow_total=tuple(b_fden),
+        batch_arrivals=b_arr,
+        batch_blocked_rru=b_rru,
+        batch_blocked_fha=b_fha,
+        batch_attempts=b_att,
+        batch_flow_blocked=b_fnum,
+        batch_flow_total=b_fden,
     )

@@ -265,6 +265,20 @@ def test_sweep_plan_validation(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sweep_rejects_bad_events_and_seed_before_any_row(tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    for bad in ({"events": 5000}, {"events": 100_000.0}, {"events": True},
+                {"base_seed": True}, {"base_seed": 1.5}):
+        plan = write_plan(tmp_path, a=[0.2], n_d=[1], n=[9], mode="both", **bad)
+        assert main(["sweep", "--plan", plan, "--out", str(out)]) == 2, bad
+        assert not out.exists()
+    plan = write_plan(tmp_path, a=[0.2], n_d=[1], n=[9], mode="both")
+    assert main(["sweep", "--plan", plan, "--events", "5000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'events'" in captured.err and "'base_seed'" in captured.err
+
+
 def test_sweep_marks_failed_points_and_exits_nonzero(tmp_path, capsys, monkeypatch):
     import vrfplan.cli as cli_mod
 

@@ -145,6 +145,9 @@ def test_traffic_round_trip(a, mu, servers):
 def test_traffic_rejects_inconsistent_load():
     with pytest.raises(InvalidConfigError):
         TrafficSpec(lam=5.0, mu=0.5, a=0.3, server_count=50)
+    # bool is an int subclass; True must not pass as one server
+    with pytest.raises(InvalidConfigError, match="server_count"):
+        TrafficSpec(lam=0.25, mu=0.5, a=0.5, server_count=True)
     with pytest.raises(InvalidConfigError):
         traffic_from_load(0.0, 0.5, 50)
     with pytest.raises(InvalidConfigError):

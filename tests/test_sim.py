@@ -1,10 +1,12 @@
 """Event-driven simulator: arrival processes, switching rules, counters,
 estimators, and cross-checks against exact references."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy import stats as sps
 
 from vrfplan import (
@@ -12,6 +14,7 @@ from vrfplan import (
     InvalidConfigError,
     InvalidParameterError,
     SimConfig,
+    SimStats,
     blocking_for_planning,
     build_global_chain,
     config_from_dict,
@@ -20,13 +23,14 @@ from vrfplan import (
 )
 from vrfplan import sim
 
-from util import TwoUnitExact, erlang_b, mk_chain
+import reference_sim
+from util import TwoUnitExact, erlang_b, mk_chain, takacs_loss
 
 
 def draws(process, rng, count):
     """Inter-arrival times by inversion of seeded uniforms, as `sim.run`
     draws them."""
-    return np.array([process.quantile(u) for u in rng.random(count)])
+    return process.quantile(rng.random(count))
 
 
 def batch_se(numer, denom):
@@ -82,9 +86,19 @@ def test_light_tail_sample_variance():
 def test_quantile_monotone_and_positive():
     w = ArrivalProcess(kind="weibull", rate=3.0, shape=0.9)
     grid = np.linspace(0.01, 0.99, 50)
-    q = np.array([w.quantile(u) for u in grid])
+    q = w.quantile(grid)
     assert (np.diff(q) > 0).all()
     assert q.min() > 0.0
+
+
+def test_quantile_on_arrays_matches_scalar_formula():
+    # numpy's log1p and power may differ from libm's in the last bit
+    u = np.random.default_rng(3).random(20_000)
+    for process in (ArrivalProcess(kind="poisson", rate=2.0),
+                    ArrivalProcess(kind="weibull", rate=3.0, shape=0.9),
+                    ArrivalProcess(kind="weibull", rate=0.5, shape=1.5)):
+        want = np.array([reference_sim.scalar_quantile(process, x) for x in u])
+        np.testing.assert_allclose(process.quantile(u), want, rtol=1e-14, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +190,14 @@ def test_sim_config_validation():
         sim.SimConfig(**{**good.__dict__, "reconfig_latency": -0.5})
 
 
+def test_sim_config_rejects_bool_cluster_size():
+    # bool is an int subclass; True must not pass as a cluster of one
+    planning = config_from_dict({"a": 0.25, "n_d": 2, "cluster_size": 10})
+    good = SimConfig.from_planning(planning, 200_000, 1)
+    with pytest.raises(InvalidConfigError, match="cluster_size"):
+        sim.SimConfig(**{**good.__dict__, "cluster_size": True})
+
+
 # ---------------------------------------------------------------------------
 # counters and reproducibility
 
@@ -250,6 +272,39 @@ def test_single_unit_blocking_is_erlang_loss():
     assert stats.blocked_fha == 0
 
 
+def weibull_laplace(rate, shape):
+    """E[exp(-s T)] for T = X^(1/shape) / rate, X ~ Exp(1): the
+    inter-arrival law `ArrivalProcess` samples."""
+    def laplace(s):
+        value, _ = integrate.quad(
+            lambda x: math.exp(-x - s * x ** (1.0 / shape) / rate), 0.0, math.inf,
+            epsabs=1e-13, epsrel=1e-12)
+        return value
+    return laplace
+
+
+def test_takacs_loss_with_poisson_arrivals_is_erlang_b():
+    assert takacs_loss(weibull_laplace(2.5, 1.0), 5, 1.0) == pytest.approx(
+        erlang_b(2.5, 5), rel=1e-9)
+
+
+@pytest.mark.parametrize("shape, pinned", [(0.9, 0.073078), (1.5, 0.054977)])
+def test_single_unit_renewal_blocking_is_takacs_loss(shape, pinned):
+    # one rate and a wide link: the unit is a GI/M/5/5 loss system
+    chain = mk_chain((100.0,), (5,), (), (), 2.5, 1.0)
+    cfg = sim.SimConfig(cluster_size=1, rate_set=chain.rate_set,
+                        thresholds=chain.thresholds, traffic=chain.traffic,
+                        link_capacity_mbps=1000.0,
+                        arrival=ArrivalProcess(kind="weibull", rate=2.5, shape=shape),
+                        events=300_000, seed=9)
+    oracle = takacs_loss(weibull_laplace(2.5, shape), 5, 1.0)
+    assert oracle == pytest.approx(pinned, abs=5e-7)
+    stats = sim.run(cfg)
+    se = batch_se(stats.batch_blocked_rru, stats.batch_arrivals)
+    assert abs(stats.estimate_rru_per_arrival - oracle) <= 3 * se
+    assert stats.blocked_fha == 0
+
+
 def test_two_unit_cluster_matches_exact_chain():
     model = TwoUnitExact()
     exact = model.blocked_attempt_fraction()
@@ -296,3 +351,35 @@ def test_zero_latency_equals_default():
     planning = config_from_dict({"a": 0.25, "n_d": 2, "cluster_size": 12})
     assert sim.run(SimConfig.from_planning(planning, 120_000, 5)) == sim.run(
         SimConfig.from_planning(planning, 120_000, 5, latency=0.0))
+
+
+# ---------------------------------------------------------------------------
+# the segment engine against the previous per-event engine
+
+@pytest.mark.parametrize("a, n_d, n", [(0.2, 1, 9), (0.25, 3, 16), (0.5, 2, 13)])
+@pytest.mark.parametrize("latency", [0.0, 0.5])
+@pytest.mark.parametrize("kind, shape", [("poisson", 1.0), ("weibull", 0.9), ("weibull", 1.5)])
+def test_engine_matches_reference_engine(a, n_d, n, latency, kind, shape):
+    # same stream, same heap order: every count is equal; the integrals
+    # are summed in another order and the uniforms transformed by numpy,
+    # so floats agree to a tolerance fixed beforehand
+    planning = config_from_dict({"a": a, "n_d": n_d, "cluster_size": n})
+    cfg = SimConfig.from_planning(planning, 100_000, 23, kind, shape, latency)
+    got, want = sim.run(cfg), reference_sim.run(cfg)
+    for field in dataclasses.fields(SimStats):
+        g, w = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(w, float) or (isinstance(w, tuple) and isinstance(w[0], float)):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0, err_msg=field.name)
+        else:
+            assert g == w, field.name
+
+
+@pytest.mark.parametrize("latency", [0.0, 0.5])
+def test_block_size_does_not_change_the_stream(monkeypatch, latency):
+    # a block smaller than the cluster refills during the initial
+    # scheduling as well as inside every batch
+    planning = config_from_dict({"a": 0.3, "n_d": 3, "cluster_size": 16})
+    cfg = SimConfig.from_planning(planning, 100_000, 21, "weibull", 0.9, latency)
+    default = sim.run(cfg)
+    monkeypatch.setattr(sim, "_UNIFORM_BLOCK", 7)
+    assert sim.run(cfg) == default

@@ -24,6 +24,18 @@ def erlang_b(rho: float, servers: int) -> float:
     return b
 
 
+def takacs_loss(laplace, servers: int, mu: float) -> float:
+    """Loss probability of GI/M/s(0) (Takacs): `laplace(s)` is the
+    Laplace-Stieltjes transform E[exp(-s T)] of the inter-arrival time T.
+    B = 1 / sum_j C(s, j) prod_{i<=j} (1 - phi(i mu)) / phi(i mu)."""
+    total = term = 1.0
+    for j in range(1, servers + 1):
+        phi = laplace(j * mu)
+        term *= (1.0 - phi) / phi
+        total += math.comb(servers, j) * term
+    return 1.0 / total
+
+
 def engset_marginal(n: int, ratio: float, cap: int) -> np.ndarray:
     """Truncated binomial-form distribution C(n,k) ratio^k, k = 0..cap."""
     w = np.array([math.comb(n, k) * ratio**k for k in range(cap + 1)])
