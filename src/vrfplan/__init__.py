@@ -12,17 +12,10 @@ and a command line front end.
 from .aggregator import (
     AggregatorSpec,
     BlockingReport,
-    StateSpace,
     blocking,
     blocking_for_planning,
-    build_generator,
     count_states,
-    detailed_balance_check,
-    enumerate_states,
-    max_rru,
-    product_form,
     spec_from_planning,
-    transition_rate,
 )
 from .config import (
     CpriProfile,
@@ -86,26 +79,20 @@ __all__ = [
     "RruRates",
     "SimConfig",
     "SimStats",
-    "StateSpace",
     "StructuralError",
     "ThresholdPolicy",
     "TrafficSpec",
     "VrfError",
     "blocking",
     "blocking_for_planning",
-    "build_generator",
     "build_global_chain",
     "config_from_dict",
     "count_states",
     "default_profile",
     "default_thresholds",
-    "detailed_balance_check",
-    "enumerate_states",
     "load_config",
-    "max_rru",
     "partition_coefficients",
     "partition_distribution",
-    "product_form",
     "rate_level_distribution",
     "reconfig_arrival_probability",
     "run",
@@ -113,6 +100,5 @@ __all__ = [
     "spec_from_planning",
     "steady_state",
     "traffic_from_load",
-    "transition_rate",
     "transition_rates",
 ]

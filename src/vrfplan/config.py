@@ -21,6 +21,8 @@ DEFAULT_SERVER_COUNT = 50
 DEFAULT_SERVICE_RATE = 0.5
 #: Matching tolerance when looking up a rate value inside a profile.
 _RATE_MATCH_TOL = 1e-6
+#: Largest denominator tried when putting a rate ladder on an integer grid.
+_GRID_MAX_DENOMINATOR = 1000
 
 
 @dataclass(frozen=True)
@@ -91,20 +93,27 @@ def default_profile() -> CpriProfile:
 class RateSet:
     """The rates a radio unit may switch among, ascending, with the user
     capacity of each rate. The top rate's capacity is the unit's total
-    server count."""
+    server count.
+
+    Every rate is an integer multiple `steps[l]` of one grid unit
+    (`unit_mbps`), so a cluster's load on the link is an integer count of
+    grid units. A ladder with no such unit is refused.
+    """
 
     rates: tuple[float, ...]
     capacities: tuple[int, ...]
+    steps: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.rates or len(self.rates) != len(self.capacities):
             raise InvalidConfigError("rate_set", "rates and capacities must be non-empty and equal-length")
-        if any(r <= 0 for r in self.rates) or any(c <= 0 for c in self.capacities):
-            raise InvalidConfigError("rate_set", "rates and capacities must be positive")
+        if any(not 0 < r < math.inf for r in self.rates) or any(c <= 0 for c in self.capacities):
+            raise InvalidConfigError("rate_set", "rates must be positive and finite, capacities positive")
         if list(self.rates) != sorted(self.rates) or len(set(self.rates)) != len(self.rates):
             raise InvalidConfigError("rate_set", "rates must be strictly ascending")
         if list(self.capacities) != sorted(set(self.capacities)):
             raise InvalidConfigError("rate_set", "capacities must be strictly ascending")
+        object.__setattr__(self, "steps", _integer_steps(self.rates))
 
     @property
     def count(self) -> int:
@@ -113,6 +122,35 @@ class RateSet:
     @property
     def server_count(self) -> int:
         return self.capacities[-1]
+
+    @property
+    def unit_mbps(self) -> float:
+        """The grid unit; rate l is `steps[l]` of it."""
+        return self.rates[0] / self.steps[0]
+
+    def grid_limit(self, link_capacity_mbps: float, cluster_size: int) -> int:
+        """Largest load, in grid units, the link admits from `cluster_size`
+        units: floor(C / unit), capped at every unit on the top rate, which
+        no load can pass (so an unbounded link needs no special case)."""
+        return math.floor(min(cluster_size * self.steps[-1], link_capacity_mbps / self.unit_mbps))
+
+
+def _integer_steps(rates: tuple[float, ...]) -> tuple[int, ...]:
+    """Each rate in units of the largest common grid unit: the smallest
+    denominator q that puts every q * rate / lowest within the profile's
+    rate-matching tolerance of distinct integers, reduced by their gcd."""
+    ratios = [r / rates[0] for r in rates]
+    for q in range(1, _GRID_MAX_DENOMINATOR + 1):
+        ints = [round(x * q) for x in ratios]
+        if (len(set(ints)) == len(ints)
+                and all(abs(x * q - k) <= _RATE_MATCH_TOL for x, k in zip(ratios, ints))):
+            g = math.gcd(*ints)
+            return tuple(k // g for k in ints)
+    raise InvalidConfigError(
+        "rate_set",
+        f"rates {rates} share no grid unit: no denominator q up to {_GRID_MAX_DENOMINATOR} "
+        f"puts every q * rate / lowest rate within {_RATE_MATCH_TOL:g} of a distinct integer",
+    )
 
 
 def select_rates(profile: CpriProfile, n_d: int) -> RateSet:

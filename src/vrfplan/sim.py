@@ -20,10 +20,14 @@ retries on every arrival, which the call-level average weights.
 `run` keeps one future-event heap. The warm-up and each of the
 `BATCH_COUNT` batches run as a segment of their own, an inner loop with
 plain local counters; the load and flow integrals advance only when the
-occupancy changes. The random stream comes from a counter-based Philox
-generator keyed by the config seed. Its uniforms are drawn in blocks, and
-each block is transformed once in numpy into two lists, inter-arrival
-times and holding times, whose positions are consumed in stream order.
+occupancy changes. The load is an integer count of the rate set's grid
+unit, and the link admits a step when the new load stays within the
+rate set's grid limit: the same integer comparison the analytic grid
+solve makes. Loads are scaled back to Mbit/s only in the statistics.
+The random stream comes from a counter-based Philox generator keyed by
+the config seed. Its uniforms are drawn in blocks, and each block is
+transformed once in numpy into two lists, inter-arrival times and
+holding times, whose positions are consumed in stream order.
 Identical configurations therefore reproduce bit-identical statistics,
 whatever the block size, on a given platform and numpy build.
 """
@@ -47,8 +51,6 @@ BATCH_COUNT = 20
 #: 97.5% quantile of Student's t with BATCH_COUNT-1 degrees of freedom
 #: (scipy.stats.t.ppf(0.975, 19), kept as a literal to spare the import).
 T_QUANTILE = 2.0930240544083087
-#: Slack for floating-point capacity comparisons (Mbit/s).
-_CAPACITY_SLACK = 1e-6
 #: Uniforms drawn and transformed at a time; the outcome does not depend on it.
 _UNIFORM_BLOCK = 1 << 12
 
@@ -127,8 +129,9 @@ class SimConfig:
             )
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise InvalidConfigError("seed", "an explicit integer seed is required for reproducibility")
-        if self.reconfig_latency < 0:
-            raise InvalidConfigError("reconfig_latency", "must be non-negative")
+        if not self.reconfig_latency >= 0:
+            raise InvalidConfigError("reconfig_latency",
+                                     f"must be non-negative, got {self.reconfig_latency!r}")
         if len(self.thresholds.forward) != self.rate_set.count - 1:
             raise InvalidConfigError(
                 "thresholds", f"need {self.rate_set.count - 1} thresholds for {self.rate_set.count} rates"
@@ -227,13 +230,13 @@ def run(config: SimConfig) -> SimStats:
     """
     n = config.cluster_size
     m = config.rate_set.count
-    d = list(config.rate_set.rates)
+    # loads are integer counts of the rate set's grid unit
+    steps = config.rate_set.steps
+    limit = config.rate_set.grid_limit(config.link_capacity_mbps, n)
     big_k = config.traffic.server_count
-    b_c = config.link_capacity_mbps
     mu = config.traffic.mu
     latency = config.reconfig_latency
     quantile = config.arrival.quantile
-    capacity_limit = b_c + _CAPACITY_SLACK
     block = _UNIFORM_BLOCK
 
     chain = RruChainSpec(rate_set=config.rate_set, thresholds=config.thresholds,
@@ -242,8 +245,8 @@ def run(config: SimConfig) -> SimStats:
     # an idle unit (l = 0) wakes up on its first call
     forward = [0] + [chain.forward_at(lv) for lv in range(1, m + 1)]
     reverse_prev = [0] + [chain.reverse_before(lv) for lv in range(1, m + 1)]
-    # rate an upgrade out of level l adds to the link
-    step_up = [d[0]] + [d[lv] - d[lv - 1] for lv in range(1, m)]
+    # load an upgrade out of level l adds to the link
+    step_up = [steps[0]] + [steps[lv] - steps[lv - 1] for lv in range(1, m)]
     # hysteresis band (band_low[l], forward[l]] of the user count at level l
     band_low = [-1] + reverse_prev[1:]
     # without a reconfiguration latency a unit steps down at the reverse
@@ -273,18 +276,18 @@ def run(config: SimConfig) -> SimStats:
     at_level[0] = n
     pending = [0] * n
 
-    def occupancy_rates() -> tuple[float, float, float]:
-        """Aggregate rate, summed afresh from the level counts, and the
-        censored and total upward-flow rates; a level's upgrades are
-        censored when the link would refuse them, by the admission rule."""
-        c = 0.0
+    def occupancy_rates() -> tuple[int, float, float]:
+        """Load, summed from the level counts, and the censored and total
+        upward-flow rates; a level's upgrades are censored when the link
+        would refuse them, by the admission rule."""
+        c = 0
         for lv in range(1, m + 1):
-            c += at_level[lv] * d[lv - 1]
+            c += at_level[lv] * steps[lv - 1]
         num = den = 0.0
         for lv in range(m):
             f = at_level[lv] * up[lv]
             den += f
-            if c + step_up[lv] > capacity_limit:
+            if c + step_up[lv] > limit:
                 num += f
         return c, num, den
 
@@ -301,7 +304,7 @@ def run(config: SimConfig) -> SimStats:
     seq = n
 
     c_now, num_rate, den_rate = occupancy_rates()
-    c_max = 0.0
+    c_max = 0
     t = t_mark = t_start = 0.0
     processed = 0
     # per batch: arrivals, accepted, blocked_rru, blocked_fha, attempts,
@@ -331,7 +334,7 @@ def run(config: SimConfig) -> SimStats:
                 lv = level[r]
                 if cur == forward[lv]:
                     att += 1
-                    if c_now + step_up[lv] > capacity_limit:
+                    if c_now + step_up[lv] > limit:
                         fha += 1
                         continue
                     dt = t - t_mark
@@ -346,9 +349,9 @@ def run(config: SimConfig) -> SimStats:
                     c_now, num_rate, den_rate = occupancy_rates()
                     if c_now > c_max:
                         c_max = c_now
-                        if c_max > capacity_limit:
+                        if c_max > limit:
                             raise AssertionError(
-                                f"capacity violated: aggregate rate {c_now:.6f} exceeds {b_c:.6f}"
+                                f"capacity violated: load {c_now} exceeds {limit} grid units"
                             )
                 acc += 1
                 cur += 1
@@ -453,8 +456,9 @@ def run(config: SimConfig) -> SimStats:
         estimate_fha_per_arrival=blocked_fha / arrivals if arrivals else 0.0,
         estimate_rru_per_arrival=blocked_rru / arrivals if arrivals else 0.0,
         estimate_total_per_arrival=(blocked_rru + blocked_fha) / arrivals if arrivals else 0.0,
-        c_time_average=math.fsum(b_cint) / elapsed if elapsed > 0 else 0.0,
-        c_max=c_max,
+        c_time_average=(math.fsum(b_cint) / elapsed * config.rate_set.unit_mbps
+                        if elapsed > 0 else 0.0),
+        c_max=c_max * config.rate_set.unit_mbps,
         events_processed=processed,
         warmup_events=warmup,
         seed=config.seed,

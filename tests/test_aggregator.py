@@ -11,20 +11,24 @@ import pytest
 
 from vrfplan import (
     AggregatorSpec,
+    InvalidParameterError,
+    RateSet,
     blocking,
     blocking_for_planning,
-    build_generator,
     config_from_dict,
     count_states,
-    detailed_balance_check,
-    enumerate_states,
-    max_rru,
-    product_form,
     spec_from_planning,
-    transition_rate,
 )
 from vrfplan import aggregator, ctmc, rru
+from vrfplan.aggregator import (
+    build_generator,
+    detailed_balance_check,
+    enumerate_states,
+    product_form,
+    transition_rate,
+)
 
+from enumerated_oracle import enumerated_blocking
 from util import engset_marginal, mk_chain
 
 
@@ -46,10 +50,21 @@ def single_level_spec(n, bc=10000.0, a=0.2):
 # ---------------------------------------------------------------------------
 # capacity count and state enumeration
 
-def test_max_rru_values():
-    assert max_rru(10000.0, 1228.8) == 8
-    assert max_rru(10000.0, 614.4) == 16
-    assert max_rru(600.0, 100.0) == 6
+def test_grid_limit_values():
+    # floor(C / unit) for a cluster large enough not to cap it
+    assert RateSet((1228.8,), (50,)).grid_limit(10000.0, 100) == 8
+    assert RateSet((614.4, 1228.8), (25, 50)).grid_limit(10000.0, 100) == 16
+    assert RateSet((100.0,), (6,)).grid_limit(600.0, 100) == 6
+    # capped at every unit on the top rate, which also bounds an unbounded link
+    assert RateSet((614.4, 1228.8), (25, 50)).grid_limit(10000.0, 5) == 10
+    assert RateSet((614.4, 1228.8), (25, 50)).grid_limit(math.inf, 5) == 10
+
+
+def test_cluster_size_rejects_bool():
+    spec = toy_spec()
+    with pytest.raises(InvalidParameterError, match="cluster_size"):
+        AggregatorSpec(cluster_size=True, rate_set=spec.rate_set,
+                       link_capacity_mbps=spec.link_capacity_mbps, rates=spec.rates)
 
 
 def test_toy_lattice_has_sixteen_states():
@@ -213,14 +228,15 @@ def test_blocking_matches_flow_count_on_direct_chain():
             blocked += pi[i] * idle * lam0
         if k1 > 0 and load + (d2 - d1) > spec.link_capacity_mbps + 1e-6:
             blocked += pi[i] * k1 * lam1
-    report = blocking(spec, binomial_n="true", space=space)
+    report = enumerated_blocking(spec, binomial_n="true", space=space)
     assert report.total == pytest.approx(blocked / offered, abs=1e-9)
+    assert blocking(spec, binomial_n="true").total == pytest.approx(blocked / offered, abs=1e-9)
 
 
 def test_blocking_components_sum_and_bound():
     spec = toy_spec(n=6, bc=350.0)
     space = enumerate_states(spec)
-    report = blocking(spec, binomial_n="true", space=space)
+    report = blocking(spec, binomial_n="true")
     assert report.total == pytest.approx(sum(report.per_rate), abs=1e-14)
     probs = product_form(spec, binomial_n="true", space=space)
     k_mat = np.array(space.vectors, dtype=float)
@@ -240,14 +256,13 @@ def test_blocking_monotone_in_cluster_size_and_load():
     assert all(b >= a - 1e-12 for a, b in zip(by_load, by_load[1:]))
 
 
-def test_unconstrained_link_recovers_independent_units():
+def test_unconstrained_link_recovers_independent_units(monkeypatch):
     chain = mk_chain((100.0, 200.0), (3, 6), (3,), (2,), 1.5, 0.5)
     spec = AggregatorSpec(cluster_size=5, rate_set=chain.rate_set,
                           link_capacity_mbps=math.inf,
                           rates=rru.transition_rates(chain))
     space = enumerate_states(spec)
-    report = blocking(spec, space=space)
-    assert report.total == 0.0
+    assert enumerated_blocking(spec, space=space).total == 0.0
     probs = product_form(spec, space=space)
     k_mat = np.array(space.vectors, dtype=float)
     n = spec.cluster_size
@@ -258,6 +273,39 @@ def test_unconstrained_link_recovers_independent_units():
     ]
     levels = rru.rate_level_distribution(spec.rates)
     assert np.abs(np.array(marginal) - levels).max() < 1e-9
+    _no_enumeration(monkeypatch)
+    for conv in ("effective", "true"):
+        report = blocking(spec, conv)
+        assert report.total == 0.0 and report.binomial_n == 5
+    assert count_states(spec) == len(space)
+
+
+def test_unbounded_link_with_hundreds_of_units(monkeypatch):
+    # every occupancy vector fits: C(N + M, M) states, none blocks
+    spec = spec_from_planning(config_from_dict(
+        {"a": 0.25, "n_d": 5, "cluster_size": 400, "fha_capacity_mbps": math.inf}))
+    _no_enumeration(monkeypatch)
+    t0 = time.perf_counter()
+    assert count_states(spec) == math.comb(405, 5)
+    assert time.perf_counter() - t0 < 1.0
+    for conv in ("effective", "true"):
+        t0 = time.perf_counter()
+        report = blocking(spec, conv)
+        assert time.perf_counter() - t0 < 1.0
+        assert report.total == 0.0 and report.per_rate == (0.0,) * 5
+        assert report.binomial_n == 400
+
+
+def test_count_states_is_exact_past_machine_integers():
+    # on an unbounded link every vector fits, C(N + M, M) of them; a 20-level
+    # ladder passes 2**63 states between N = 60 and N = 70
+    rate_set = RateSet(rates=tuple(100.0 * k for k in range(1, 21)), capacities=tuple(range(1, 21)))
+    rates = rru.RruRates(up=(2.0,) + (1.0,) * 19, down=(1.0,) * 20)
+    for n in (60, 70):
+        spec = AggregatorSpec(cluster_size=n, rate_set=rate_set, link_capacity_mbps=math.inf,
+                              rates=rates)
+        assert count_states(spec) == math.comb(n + 20, 20)
+    assert math.comb(80, 20) < 2**63 < math.comb(90, 20)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +363,7 @@ def test_grid_path_matches_enumerated_oracle(monkeypatch):
             for n in (4, 8, 12, 16, 20):
                 spec = spec_from_planning(config_from_dict({"a": a, "n_d": n_d, "cluster_size": n}))
                 space = enumerate_states(spec)
-                cases.append((spec, space, {conv: blocking(spec, conv, space=space)
+                cases.append((spec, space, {conv: enumerated_blocking(spec, conv, space=space)
                                             for conv in ("effective", "true")}))
     _no_enumeration(monkeypatch)
     for spec, space, oracle in cases:
@@ -336,23 +384,54 @@ def test_grid_path_at_link_edges():
         space = enumerate_states(spec)
         assert count_states(spec) == len(space)
         for conv in ("effective", "true"):
-            _assert_reports_close(blocking(spec, conv), blocking(spec, conv, space=space), 1e-9)
+            _assert_reports_close(blocking(spec, conv),
+                                  enumerated_blocking(spec, conv, space=space), 1e-9)
 
 
-def test_off_grid_rates_take_the_enumerated_path(monkeypatch):
+def test_rates_off_the_lowest_rate_grid_solve_on_a_finer_grid(monkeypatch):
+    # 250 is no multiple of 100, but both are multiples of 50
     chain = mk_chain((100.0, 250.0), (3, 6), (3,), (2,), 1.5, 0.5)
     spec = AggregatorSpec(cluster_size=6, rate_set=chain.rate_set,
                           link_capacity_mbps=700.0,
                           rates=rru.transition_rates(chain))
-    want = blocking(spec, space=enumerate_states(spec))
-    assert want.total > 0.0
+    assert spec.rate_set.steps == (2, 5) and spec.rate_set.unit_mbps == 50.0
+    space = enumerate_states(spec)
+    oracle = {conv: enumerated_blocking(spec, conv, space=space) for conv in ("effective", "true")}
+    assert oracle["effective"].total > 0.0
     calls = []
     original = aggregator.enumerate_states
     monkeypatch.setattr(aggregator, "enumerate_states",
                         lambda *a, **k: calls.append(1) or original(*a, **k))
-    assert blocking(spec) == want
-    assert count_states(spec) == len(original(spec))
-    assert len(calls) == 2
+    for conv, want in oracle.items():
+        _assert_reports_close(blocking(spec, conv), want, 1e-12)
+    assert count_states(spec) == len(space)
+    assert calls == []
+
+
+def test_row_near_the_halving_chain_lands_on_the_lowest_rate(monkeypatch):
+    # a custom row 9e-7 Mbit/s off the halving chain: select_rates matches it
+    # within its tolerance, and the grid takes the lowest rate as its unit
+    profile = [{"bandwidth_mhz": 5.0, "fft_size": 512, "prb_count": 25,
+                "rate_mbps": 307.2, "max_users": 12},
+               {"bandwidth_mhz": 10.0, "fft_size": 1024, "prb_count": 50,
+                "rate_mbps": 614.4000009, "max_users": 25},
+               {"bandwidth_mhz": 20.0, "fft_size": 2048, "prb_count": 100,
+                "rate_mbps": 1228.8, "max_users": 50}]
+    cases = []
+    for n_d, n in ((2, 17), (3, 17), (3, 30)):
+        spec = spec_from_planning(config_from_dict(
+            {"a": 0.3, "n_d": n_d, "cluster_size": n, "profile": profile}))
+        assert spec.rate_set.steps == (1, 2, 4)[:n_d]
+        assert spec.rate_set.unit_mbps == spec.rate_set.rates[0]
+        space = enumerate_states(spec)
+        cases.append((spec, space, {conv: enumerated_blocking(spec, conv, space=space)
+                                    for conv in ("effective", "true")}))
+    _no_enumeration(monkeypatch)
+    for spec, space, oracle in cases:
+        assert count_states(spec) == len(space)
+        for conv, want in oracle.items():
+            assert want.total > 0.0
+            _assert_reports_close(blocking(spec, conv), want, 1e-9)
 
 
 def test_hundreds_of_units_on_a_fat_link(monkeypatch):

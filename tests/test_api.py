@@ -7,11 +7,18 @@ import vrfplan
 
 #: Names that left the public API: chain-reduction tools only the test
 #: oracles use (now in tests/chain_reduction.py), a sampler only tests
-#: called, and a copy of the switching rules.
+#: called, a copy of the switching rules, and the lowest-rate unit count
+#: the rate set's grid limit replaced.
 REMOVED = (
     "Partition", "uniformize", "stochastic_complement", "fold_back_conditional",
     "dtmc_steady_state", "sample_interarrival", "rate_after_arrival",
-    "rate_after_departure",
+    "rate_after_departure", "max_rru",
+)
+#: The enumerated cluster model: the oracle of the load-grid solve, which
+#: `vrfplan validate` and the tests reach through `vrfplan.aggregator`.
+ORACLE_ONLY = (
+    "StateSpace", "enumerate_states", "product_form", "build_generator",
+    "detailed_balance_check", "transition_rate",
 )
 
 
@@ -36,5 +43,11 @@ def test_all_equals_the_imported_names():
 def test_removed_names_stay_removed():
     for name in REMOVED:
         assert not hasattr(vrfplan, name), name
-        for module in (vrfplan.ctmc, vrfplan.sim):
+        for module in (vrfplan.aggregator, vrfplan.ctmc, vrfplan.sim):
             assert not hasattr(module, name), (module.__name__, name)
+
+
+def test_oracle_names_stay_in_the_aggregator_only():
+    for name in ORACLE_ONLY:
+        assert name not in vrfplan.__all__ and not hasattr(vrfplan, name), name
+        assert hasattr(vrfplan.aggregator, name), name

@@ -154,6 +154,15 @@ def test_simulate_rejects_bad_arrival(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_simulate_rejects_nan_latency(tmp_path, capsys):
+    cfg = write_config(tmp_path, a=0.3, n_d=3, cluster_size=14)
+    assert main(["simulate", "--config", cfg, "--events", "100000", "--seed", "1",
+                 "--latency", "nan"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "reconfig_latency" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -282,7 +291,7 @@ def test_sweep_rejects_bad_events_and_seed_before_any_row(tmp_path, capsys):
 def test_sweep_marks_failed_points_and_exits_nonzero(tmp_path, capsys, monkeypatch):
     import vrfplan.cli as cli_mod
 
-    def boom(spec, binomial_n="effective", space=None):
+    def boom(spec, binomial_n="effective"):
         raise RuntimeError("induced failure")
 
     monkeypatch.setattr(cli_mod.aggregator, "blocking", boom)

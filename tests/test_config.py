@@ -2,6 +2,7 @@
 traffic, and the JSON schema."""
 
 import json
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -166,6 +167,31 @@ def test_rate_set_validation():
         RateSet(rates=(100.0,), capacities=(3, 6))
     with pytest.raises(InvalidConfigError):
         RateSet(rates=(), capacities=())
+    with pytest.raises(InvalidConfigError):
+        RateSet(rates=(100.0, math.inf), capacities=(3, 6))
+
+
+def test_planning_ladders_sit_on_the_lowest_rate_grid():
+    profile = default_profile()
+    for n_d in range(1, 6):
+        rs = select_rates(profile, n_d)
+        assert rs.steps == tuple(2 ** i for i in range(n_d))
+        assert rs.unit_mbps == rs.rates[0]
+
+
+def test_rate_set_grid_unit_divides_every_rate():
+    rs = RateSet(rates=(100.0, 250.0, 400.0), capacities=(3, 6, 9))
+    assert rs.steps == (2, 5, 8) and rs.unit_mbps == 50.0
+    assert RateSet(rates=(90.0, 120.0), capacities=(3, 6)).steps == (3, 4)
+
+
+def test_rate_set_refuses_a_ladder_with_no_grid_unit():
+    # sqrt(2) is irrational: no denominator up to the cap puts it on a grid
+    with pytest.raises(InvalidConfigError, match="grid unit"):
+        RateSet(rates=(100.0, 100.0 * math.sqrt(2.0)), capacities=(3, 6))
+    # two rates too close to tell apart on any grid the search tries
+    with pytest.raises(InvalidConfigError, match="grid unit"):
+        RateSet(rates=(100.0, 100.0 + 1e-8), capacities=(3, 6))
 
 
 # ---------------------------------------------------------------------------

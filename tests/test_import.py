@@ -11,13 +11,12 @@ import sys
 import vrfplan
 from vrfplan import (PlanningConfig, blocking_for_planning, default_profile, select_rates,
                      spec_from_planning, traffic_from_load)
-from vrfplan.aggregator import _grid_steps
 
 profile = default_profile()
 planning = PlanningConfig(profile=profile, n_d=3, threshold_gap=1,
                           traffic=traffic_from_load(0.25, 0.5, select_rates(profile, 3).server_count),
                           cluster_size=16, link_capacity_mbps=10000.0)
-assert _grid_steps(spec_from_planning(planning)) is not None, "not on the grid path"
+assert spec_from_planning(planning).rate_set.steps == (1, 2, 4)
 report = blocking_for_planning(planning)
 assert 0.0 < report.total < 1.0
 print(" ".join(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))

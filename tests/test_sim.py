@@ -188,6 +188,8 @@ def test_sim_config_validation():
                          "arrival": ArrivalProcess(kind="poisson", rate=1.0)})
     with pytest.raises(InvalidConfigError):
         sim.SimConfig(**{**good.__dict__, "reconfig_latency": -0.5})
+    with pytest.raises(InvalidConfigError, match="reconfig_latency"):
+        sim.SimConfig(**{**good.__dict__, "reconfig_latency": math.nan})
 
 
 def test_sim_config_rejects_bool_cluster_size():
@@ -356,16 +358,36 @@ def test_zero_latency_equals_default():
 # ---------------------------------------------------------------------------
 # the segment engine against the previous per-event engine
 
-@pytest.mark.parametrize("a, n_d, n", [(0.2, 1, 9), (0.25, 3, 16), (0.5, 2, 13)])
+#: Clusters of the engine comparison: planning configs (a, n_d, N) on the
+#: default link, and (None) a toy ladder (100, 250) on a 700 Mbit/s link
+#: that blocks, whose grid unit is 50 Mbit/s rather than its lowest rate.
+ENGINE_CLUSTERS = {"0.2-1-9": (0.2, 1, 9), "0.25-3-16": (0.25, 3, 16),
+                   "0.5-2-13": (0.5, 2, 13), "toy-100-250": None}
+
+
+@pytest.mark.parametrize("cluster", list(ENGINE_CLUSTERS.values()), ids=list(ENGINE_CLUSTERS))
 @pytest.mark.parametrize("latency", [0.0, 0.5])
 @pytest.mark.parametrize("kind, shape", [("poisson", 1.0), ("weibull", 0.9), ("weibull", 1.5)])
-def test_engine_matches_reference_engine(a, n_d, n, latency, kind, shape):
+def test_engine_matches_reference_engine(cluster, latency, kind, shape):
     # same stream, same heap order: every count is equal; the integrals
     # are summed in another order and the uniforms transformed by numpy,
-    # so floats agree to a tolerance fixed beforehand
-    planning = config_from_dict({"a": a, "n_d": n_d, "cluster_size": n})
-    cfg = SimConfig.from_planning(planning, 100_000, 23, kind, shape, latency)
+    # so floats agree to a tolerance fixed beforehand. The reference
+    # engine compares loads in Mbit/s with a float slack, the library in
+    # integer grid units.
+    if cluster is None:
+        chain = mk_chain((100.0, 250.0), (3, 6), (3,), (2,), 1.5, 0.5)
+        assert chain.rate_set.steps == (2, 5)
+        cfg = SimConfig(cluster_size=6, rate_set=chain.rate_set, thresholds=chain.thresholds,
+                        traffic=chain.traffic, link_capacity_mbps=700.0,
+                        arrival=ArrivalProcess(kind=kind, rate=chain.traffic.lam, shape=shape),
+                        events=100_000, seed=23, reconfig_latency=latency)
+    else:
+        a, n_d, n = cluster
+        planning = config_from_dict({"a": a, "n_d": n_d, "cluster_size": n})
+        cfg = SimConfig.from_planning(planning, 100_000, 23, kind, shape, latency)
     got, want = sim.run(cfg), reference_sim.run(cfg)
+    if cluster is None:
+        assert want.blocked_fha > 0
     for field in dataclasses.fields(SimStats):
         g, w = getattr(got, field.name), getattr(want, field.name)
         if isinstance(w, float) or (isinstance(w, tuple) and isinstance(w[0], float)):
