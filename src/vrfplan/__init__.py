@@ -31,7 +31,6 @@ from .config import (
     select_rates,
     traffic_from_load,
 )
-from .ctmc import steady_state
 from .errors import (
     CapacityError,
     InvalidConfigError,
@@ -40,17 +39,7 @@ from .errors import (
     StructuralError,
     VrfError,
 )
-from .rru import (
-    GlobalRruChain,
-    PartitionDistribution,
-    RruChainSpec,
-    RruRates,
-    build_global_chain,
-    partition_coefficients,
-    partition_distribution,
-    rate_level_distribution,
-    transition_rates,
-)
+from .rru import RruChainSpec, RruRates, transition_rates
 from .sim import (
     ArrivalProcess,
     SimConfig,
@@ -67,11 +56,9 @@ __all__ = [
     "BlockingReport",
     "CapacityError",
     "CpriProfile",
-    "GlobalRruChain",
     "InvalidConfigError",
     "InvalidParameterError",
     "NumericalError",
-    "PartitionDistribution",
     "PlanningConfig",
     "ProfileRow",
     "RateSet",
@@ -85,20 +72,15 @@ __all__ = [
     "VrfError",
     "blocking",
     "blocking_for_planning",
-    "build_global_chain",
     "config_from_dict",
     "count_states",
     "default_profile",
     "default_thresholds",
     "load_config",
-    "partition_coefficients",
-    "partition_distribution",
-    "rate_level_distribution",
     "reconfig_arrival_probability",
     "run",
     "select_rates",
     "spec_from_planning",
-    "steady_state",
     "traffic_from_load",
     "transition_rates",
 ]

@@ -165,6 +165,9 @@ def count_states(spec: AggregatorSpec) -> int:
     steps = spec.rate_set.steps
     gmax = spec.grid_limit
     units = min(spec.cluster_size, gmax // steps[0])
+    if units * steps[-1] <= gmax:
+        # every vector fits the link: C(units + M, M) of them, no table
+        return math.comb(units + len(steps), len(steps))
     # machine integers where no count can pass C(units + M, M), the number
     # of vectors of at most `units` units: ~10x faster and smaller
     exact = np.int64 if math.comb(units + len(steps), len(steps)) < 2**63 else object

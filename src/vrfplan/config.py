@@ -23,6 +23,8 @@ DEFAULT_SERVICE_RATE = 0.5
 _RATE_MATCH_TOL = 1e-6
 #: Largest denominator tried when putting a rate ladder on an integer grid.
 _GRID_MAX_DENOMINATOR = 1000
+#: A link quotient this close (relative) to an integer k admits k grid units.
+_GRID_SNAP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -131,8 +133,12 @@ class RateSet:
     def grid_limit(self, link_capacity_mbps: float, cluster_size: int) -> int:
         """Largest load, in grid units, the link admits from `cluster_size`
         units: floor(C / unit), capped at every unit on the top rate, which
-        no load can pass (so an unbounded link needs no special case)."""
-        return math.floor(min(cluster_size * self.steps[-1], link_capacity_mbps / self.unit_mbps))
+        no load can pass (so an unbounded link needs no special case). A
+        capacity computed as k * unit may divide to a few ulps under k; it
+        still admits k units."""
+        units = min(cluster_size * self.steps[-1], link_capacity_mbps / self.unit_mbps)
+        nearest = round(units)
+        return nearest if math.isclose(units, nearest, rel_tol=_GRID_SNAP_TOL) else math.floor(units)
 
 
 def _integer_steps(rates: tuple[float, ...]) -> tuple[int, ...]:

@@ -2,18 +2,16 @@
 
 A unit serves up to `server_count` simultaneous calls and steps its
 transport rate up at forward thresholds and down at reverse thresholds.
-This module builds the full (users, level) chain, evaluates the
-closed-form per-level conditional distributions, and derives the
-level-transition rates that drive the cluster-level model.
+This module computes each rate level's occupancy coefficients and the
+level-transition rates that drive the cluster-level model, and builds
+the unit's full (users, level) chain as their oracle.
 
-Closed forms are evaluated in log space with explicit sign tracking;
-if catastrophic cancellation is ever detected the affected level falls
-back to the chain solver and a diagnostic is logged.
-"""
+Coefficients are evaluated in log space on one path: a closed form up to
+each level's reverse threshold, and above it a cut recurrence that adds
+positive terms only, so nothing can cancel."""
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -23,12 +21,6 @@ from . import ctmc
 from ._logspace import log_factorials, logsumexp
 from .config import RateSet, ThresholdPolicy, TrafficSpec
 from .errors import InvalidConfigError, InvalidParameterError
-
-log = logging.getLogger(__name__)
-
-#: A coefficient this far below zero (relative to its positive part)
-#: triggers the chain-solver fallback instead of clamping.
-_CANCEL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -125,18 +117,6 @@ class GlobalRruChain:
 
 
 @dataclass(frozen=True)
-class PartitionDistribution:
-    """Conditional user-count distribution within one rate level."""
-
-    level: int
-    user_counts: tuple[int, ...]
-    probabilities: np.ndarray
-
-    def probability_of(self, users: int) -> float:
-        return float(self.probabilities[self.user_counts.index(users)])
-
-
-@dataclass(frozen=True)
 class RruRates:
     """Level-transition rates of one unit: `up[l]` drives level l -> l+1
     (with up[0] the wake-up rate out of the off state), `down[l-1]` drives
@@ -198,10 +178,10 @@ def build_global_chain(spec: RruChainSpec) -> GlobalRruChain:
 
 def _log_interior(users: np.ndarray, base: int, gateway: int, log_rho: float,
                   lf: np.ndarray) -> np.ndarray:
-    """log of the homogeneous coefficient part at each user count i of a
-    level entered at `base` from below through `gateway` = F_{l-1} + 1:
-    the row-wise log-sum-exp of base * rho^j * (i-j-1)! / i! over
-    max(0, i - gateway) <= j <= i - base."""
+    """log of the coefficient, up to a common factor, at each user count
+    i <= R_l of a level entered at `base` from below through `gateway` =
+    F_{l-1} + 1: the row-wise log-sum-exp of base * rho^j * (i-j-1)! / i!
+    over max(0, i - gateway) <= j <= i - base."""
     i = users[:, None]
     j = np.arange(users[-1] - base + 1)[None, :]
     inside = (j >= i - gateway) & (j <= i - base)
@@ -210,74 +190,40 @@ def _log_interior(users: np.ndarray, base: int, gateway: int, log_rho: float,
     return logsumexp(terms, axis=1)
 
 
-def _log_echo(users: np.ndarray, r_l: int, log_rho: float, lf: np.ndarray) -> np.ndarray:
-    """log of the reflected-sum factor multiplying the top coefficient at
-    each user count i above the reverse threshold r_l: the row-wise
-    log-sum-exp of rho^j * (i-j)! / i! over 1 <= j <= i - r_l."""
-    i = users[:, None]
-    j = np.arange(1, users[-1] - r_l + 1)[None, :]
-    inside = j <= i - r_l
-    k = np.where(inside, i - j, 0)
-    terms = np.where(inside, j * log_rho + lf[k] - lf[i], -math.inf)
-    return logsumexp(terms, axis=1)
-
-
 def _log_coefficients(spec: RruChainSpec, level: int) -> np.ndarray:
     """Log coefficients over `level`'s user range, shifted so the base
-    entry is exactly 0 (coefficient 1). Raises ValueError on catastrophic
-    cancellation; callers fall back to the chain solver."""
+    entry is exactly 0 (coefficient 1).
+
+    Up to R_l the level's interior is in closed form (level 1's is the
+    Poisson form). Above it, the cut between i and i + 1 users balances
+    lam * p_i = (i + 1) * mu * p_{i+1} + lam * p_F: read downward from F_l
+    it adds positive terms only, and joins the interior at R_l.
+    """
     lr = math.log(spec.rho)
     users = np.array(spec.user_range(level))
-    lf = log_factorials(int(users[-1]))
-    m = spec.level_count
-
+    top = level == spec.level_count
+    lo, f_l = int(users[0]), int(users[-1])
+    r_l = f_l if top else spec.thresholds.reverse[level - 1]
+    below = users[:r_l - lo + 1]
+    lf = log_factorials(r_l)
     if level == 1:
-        # pure product form below the reverse threshold, echo-corrected above
-        lt = users * lr - lf[users]
-        if m == 1:
-            return lt
+        lt = below * lr - lf[below]
     else:
-        base = spec.reverse_before(level) + 1
         gateway = spec.forward_at(level - 1) + 1
-        lt = _log_interior(users, base, gateway, lr, lf)
-        if level == m:
-            return lt - lt[0]
+        lt = _log_interior(below, lo, gateway, lr, lf)
     lt -= lt[0]
-    f1 = spec.forward_at(level)
-    r1 = spec.thresholds.reverse[level - 1]
-    lo = int(users[0])
-
-    # echo sums over r1 .. f1-1 (empty, so -inf, at r1); the last one closes
-    # the recurrence for the top coefficient at the forward threshold
-    l_echo = _log_echo(np.arange(r1, f1), r1, lr, lf)
-    l_denom = logsumexp([0.0, math.log(f1) - lr, l_echo[-1]])
-    l_cf = lt[f1 - 1 - lo] - l_denom
-
-    out = lt.copy()
-    out[f1 - lo] = l_cf
-    # the band r1+1 .. f1-1 subtracts the echo of the top coefficient
-    l_pos = lt[r1 + 1 - lo:f1 - lo]
-    diff = l_echo[1:] + l_cf - l_pos
-    negative = diff >= 0.0
-    if negative.any():
-        # mathematically impossible; a negative value here means the
-        # subtraction cancelled catastrophically
-        shortfall = -np.expm1(-diff)
-        bad = np.flatnonzero(negative & (shortfall > _CANCEL_TOL))
-        if bad.size:
-            raise ValueError(
-                f"coefficient at users={r1 + 1 + bad[0]}, level={level} came out negative "
-                f"({shortfall[bad[0]]:.3e} relative shortfall)"
-            )
-    with np.errstate(divide="ignore"):
-        out[r1 + 1 - lo:f1 - lo] = np.where(
-            negative, -math.inf, l_pos + np.log1p(-np.exp(np.minimum(diff, 0.0))))
-    return out
+    if top:
+        return lt
+    # the cut recurrence from p_F = 1 down to R_l, in log space
+    lq = np.zeros(f_l - r_l + 1)
+    for i in range(len(lq) - 2, -1, -1):
+        lq[i] = np.logaddexp(math.log(r_l + i + 1) - lr + lq[i + 1], 0.0)
+    return np.concatenate([lt, lt[-1] + lq[1:] - lq[0]])
 
 
 def _oracle_log_coefficients(spec: RruChainSpec, level: int) -> np.ndarray:
-    """Chain-solver fallback: conditional distribution of the level's
-    partition from the full chain, expressed as log coefficients."""
+    """The test oracle: conditional distribution of the level's partition
+    from the full chain's steady state, expressed as log coefficients."""
     chain = build_global_chain(spec)
     part_idx = chain.partition_indices(level)
     pi = ctmc.steady_state(chain.q)
@@ -288,51 +234,13 @@ def _oracle_log_coefficients(spec: RruChainSpec, level: int) -> np.ndarray:
     return lc - lc[0]
 
 
-def _level_log_coefficients(spec: RruChainSpec, level: int) -> np.ndarray:
-    """`_log_coefficients`, or the chain solver's when the closed form
-    cancels catastrophically."""
-    if not 1 <= level <= spec.level_count:
-        raise InvalidParameterError(f"level must be in 1..{spec.level_count}, got {level}")
-    try:
-        return _log_coefficients(spec, level)
-    except ValueError as exc:
-        log.warning("closed form failed for level %d (%s); using chain solver", level, exc)
-        return _oracle_log_coefficients(spec, level)
-
-
 def partition_coefficients(spec: RruChainSpec, level: int) -> np.ndarray:
     """Per-level coefficients C_i over the level's user range.
 
     The base entry (lowest user count of the level) is exactly 1; every
     other entry is the steady-state probability ratio to that base state.
     """
-    return np.exp(_level_log_coefficients(spec, level))
-
-
-def partition_distribution(spec: RruChainSpec, level: int) -> PartitionDistribution:
-    """Conditional user-count distribution of one rate level.
-
-    Level 1 includes the switched-off state at zero users.
-    """
-    lc = _level_log_coefficients(spec, level)
-    probs = np.exp(lc - logsumexp(lc))
-    probs /= probs.sum()
-    return PartitionDistribution(
-        level=level,
-        user_counts=tuple(spec.user_range(level)),
-        probabilities=probs,
-    )
-
-
-def _active_distribution(dist: PartitionDistribution) -> PartitionDistribution:
-    """Level-1 distribution renormalized over active (non-empty) states."""
-    if dist.user_counts[0] != 0:
-        return dist
-    probs = dist.probabilities[1:].copy()
-    probs /= probs.sum()
-    return PartitionDistribution(
-        level=dist.level, user_counts=dist.user_counts[1:], probabilities=probs
-    )
+    return np.exp(_log_coefficients(spec, level))
 
 
 def transition_rates(spec: RruChainSpec) -> RruRates:
@@ -340,22 +248,23 @@ def transition_rates(spec: RruChainSpec) -> RruRates:
 
     The upgrade rate out of level l is the arrival rate thinned by the
     probability of sitting exactly at the forward threshold; the
-    downgrade rate is the departure rate at one user above the reverse
-    threshold, thinned likewise. Level 1 probabilities are conditioned
-    on the unit being active, so that the off state's dwell is carried
-    by the wake-up rate alone.
+    downgrade rate is the departure rate at the level's entry count,
+    one user above the reverse threshold below it, thinned likewise.
+    Level 1 probabilities are conditioned on the unit being active, so
+    that the off state's dwell is carried by the wake-up rate alone.
     """
     lam, mu = spec.traffic.lam, spec.traffic.mu
     up = [lam]
     down = []
     for level in range(1, spec.level_count + 1):
-        dist = partition_distribution(spec, level)
+        lc = _log_coefficients(spec, level)
         if level == 1:
-            dist = _active_distribution(dist)
+            lc = lc[1:]
+        norm = logsumexp(lc)
         entry = spec.reverse_before(level) + 1
-        down.append(entry * mu * dist.probability_of(entry))
+        down.append(entry * mu * math.exp(lc[0] - norm))
         if level < spec.level_count:
-            up.append(lam * dist.probability_of(spec.forward_at(level)))
+            up.append(lam * math.exp(lc[-1] - norm))
     return RruRates(up=tuple(up), down=tuple(down))
 
 

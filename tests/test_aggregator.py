@@ -5,6 +5,8 @@ import gc
 import itertools
 import math
 import time
+import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -58,6 +60,24 @@ def test_grid_limit_values():
     # capped at every unit on the top rate, which also bounds an unbounded link
     assert RateSet((614.4, 1228.8), (25, 50)).grid_limit(10000.0, 5) == 10
     assert RateSet((614.4, 1228.8), (25, 50)).grid_limit(math.inf, 5) == 10
+    # a capacity computed as k * unit divides a few ulps under k
+    assert 31 * 76.8 / 76.8 < 31
+    assert RateSet((76.8, 153.6), (3, 6)).grid_limit(31 * 76.8, 100) == 31
+
+
+def test_grid_limit_admits_every_multiple_of_the_unit():
+    # k * u computed in floating point, and k * u typed as a decimal
+    units = ("76.8", "153.6", "307.2", "614.4", "1228.8", "100", "50")
+    for u in units:
+        rate_set = RateSet((float(u),), (1,))
+        assert rate_set.unit_mbps == float(u)
+        short = [k for k in range(1, 20000) if rate_set.grid_limit(k * float(u), 20000) != k]
+        assert short == [], (u, short[:5])
+    for u in units[:5]:
+        rate_set = RateSet((float(u),), (1,))
+        typed = [k for k in range(1, 5000)
+                 if rate_set.grid_limit(float(Decimal(u) * k), 5000) != k]
+        assert typed == [], (u, typed[:5])
 
 
 def test_cluster_size_rejects_bool():
@@ -296,15 +316,29 @@ def test_unbounded_link_with_hundreds_of_units(monkeypatch):
         assert report.binomial_n == 400
 
 
+def test_count_states_on_an_unbounded_link_builds_no_table():
+    spec = spec_from_planning(config_from_dict(
+        {"a": 0.25, "n_d": 5, "cluster_size": 400, "fha_capacity_mbps": math.inf}))
+    tracemalloc.start()
+    try:
+        assert count_states(spec) == math.comb(405, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
 def test_count_states_is_exact_past_machine_integers():
-    # on an unbounded link every vector fits, C(N + M, M) of them; a 20-level
-    # ladder passes 2**63 states between N = 60 and N = 70
+    # on an unbounded link every vector fits, C(N + M, M) of them; one grid
+    # unit less refuses only all N units on the top rate. A 20-level ladder
+    # passes 2**63 states between N = 60 and N = 70
     rate_set = RateSet(rates=tuple(100.0 * k for k in range(1, 21)), capacities=tuple(range(1, 21)))
     rates = rru.RruRates(up=(2.0,) + (1.0,) * 19, down=(1.0,) * 20)
     for n in (60, 70):
-        spec = AggregatorSpec(cluster_size=n, rate_set=rate_set, link_capacity_mbps=math.inf,
-                              rates=rates)
-        assert count_states(spec) == math.comb(n + 20, 20)
+        for link, refused in ((math.inf, 0), (100.0 * (20 * n - 1), 1)):
+            spec = AggregatorSpec(cluster_size=n, rate_set=rate_set, link_capacity_mbps=link,
+                                  rates=rates)
+            assert count_states(spec) == math.comb(n + 20, 20) - refused
     assert math.comb(80, 20) < 2**63 < math.comb(90, 20)
 
 

@@ -7,12 +7,13 @@ import vrfplan
 
 #: Names that left the public API: chain-reduction tools only the test
 #: oracles use (now in tests/chain_reduction.py), a sampler only tests
-#: called, a copy of the switching rules, and the lowest-rate unit count
-#: the rate set's grid limit replaced.
+#: called, a copy of the switching rules, the lowest-rate unit count
+#: the rate set's grid limit replaced, and the per-level distribution the
+#: rates now read straight from the log coefficients.
 REMOVED = (
     "Partition", "uniformize", "stochastic_complement", "fold_back_conditional",
     "dtmc_steady_state", "sample_interarrival", "rate_after_arrival",
-    "rate_after_departure", "max_rru",
+    "rate_after_departure", "max_rru", "PartitionDistribution", "partition_distribution",
 )
 #: The enumerated cluster model: the oracle of the load-grid solve, which
 #: `vrfplan validate` and the tests reach through `vrfplan.aggregator`.
@@ -20,6 +21,13 @@ ORACLE_ONLY = (
     "StateSpace", "enumerate_states", "product_form", "build_generator",
     "detailed_balance_check", "transition_rate",
 )
+#: The unit's full chain, its solver and the per-level views that only
+#: `vrfplan validate` and the tests use, reached through their modules.
+UNIT_ORACLES = {
+    "rru": ("GlobalRruChain", "build_global_chain", "partition_coefficients",
+            "rate_level_distribution"),
+    "ctmc": ("steady_state",),
+}
 
 
 def _imported_names():
@@ -43,7 +51,7 @@ def test_all_equals_the_imported_names():
 def test_removed_names_stay_removed():
     for name in REMOVED:
         assert not hasattr(vrfplan, name), name
-        for module in (vrfplan.aggregator, vrfplan.ctmc, vrfplan.sim):
+        for module in (vrfplan.aggregator, vrfplan.ctmc, vrfplan.rru, vrfplan.sim):
             assert not hasattr(module, name), (module.__name__, name)
 
 
@@ -51,3 +59,10 @@ def test_oracle_names_stay_in_the_aggregator_only():
     for name in ORACLE_ONLY:
         assert name not in vrfplan.__all__ and not hasattr(vrfplan, name), name
         assert hasattr(vrfplan.aggregator, name), name
+
+
+def test_unit_oracles_stay_in_their_modules():
+    for module, names in UNIT_ORACLES.items():
+        for name in names:
+            assert name not in vrfplan.__all__ and not hasattr(vrfplan, name), name
+            assert hasattr(getattr(vrfplan, module), name), (module, name)

@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from vrfplan import InvalidParameterError, StructuralError, steady_state
+from vrfplan import InvalidParameterError, StructuralError
+from vrfplan.ctmc import steady_state
 
 from chain_reduction import (
     Partition,

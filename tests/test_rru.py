@@ -1,23 +1,18 @@
 """Per-unit threshold chain: closed-form coefficients, conditional
 distributions, level-transition rates, and the decomposition identity."""
 
-import logging
 import math
 
 import numpy as np
 import pytest
 
-from vrfplan import (
-    InvalidParameterError,
-    VrfError,
-    build_global_chain,
-    config_from_dict,
-    partition_coefficients,
-    partition_distribution,
-    rate_level_distribution,
-    transition_rates,
-)
+from vrfplan import InvalidParameterError, VrfError, config_from_dict, transition_rates
 from vrfplan import ctmc, rru
+from vrfplan.rru import (
+    build_global_chain,
+    partition_coefficients,
+    rate_level_distribution,
+)
 
 from util import erlang_b, mk_chain
 
@@ -32,6 +27,13 @@ def unit_spec(a, n_d, gap):
     planning = config_from_dict({"a": a, "n_d": n_d, "cluster_size": 8, "threshold_gap": gap})
     return rru.RruChainSpec(rate_set=planning.rate_set, thresholds=planning.thresholds,
                             traffic=planning.traffic)
+
+
+def conditional(spec, level):
+    """The level's conditional user-count distribution: its coefficients,
+    normalised."""
+    coef = partition_coefficients(spec, level)
+    return coef / coef.sum()
 
 
 def global_partition_mass(chain, level):
@@ -116,22 +118,31 @@ def test_coefficients_match_conditional_chain_ratios():
         assert np.abs(coef / ratios - 1.0).max() < 1e-9
 
 
-def test_closed_form_matches_chain_oracle_on_every_level():
-    # the closed form itself, not the fallback, against the GTH chain solve
-    checked = 0
-    for a in (1e-4, 0.05, 0.25, 0.5, 0.9, 0.999):
+#: Loads of the per-unit grid, from nearly idle to nearly saturated.
+GRID_LOADS = (1e-4, 0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999, 0.9999)
+
+
+def unit_grid():
+    """Every (a, n_d, gap) of the per-unit grid whose gap fits the ladder."""
+    for a in GRID_LOADS:
         for n_d in range(1, 6):
-            for gap in (1, 2, 3):
+            for gap in range(1, 6):
                 try:
-                    spec = unit_spec(a, n_d, gap)
+                    yield (a, n_d, gap), unit_spec(a, n_d, gap)
                 except VrfError:
                     continue        # the gap does not fit the ladder's smallest step
-                for level in range(1, n_d + 1):
-                    closed = np.exp(rru._log_coefficients(spec, level))
-                    oracle = np.exp(rru._oracle_log_coefficients(spec, level))
-                    assert closed == pytest.approx(oracle, rel=1e-9), (a, n_d, gap, level)
-                checked += 1
-    assert checked == 6 * (3 * 4 + 2)      # n_d = 5 admits gaps 1 and 2 only
+
+
+def test_closed_form_matches_chain_oracle_on_every_level():
+    checked = 0
+    for key, spec in unit_grid():
+        for level in range(1, spec.level_count + 1):
+            closed = partition_coefficients(spec, level)
+            oracle = np.exp(rru._oracle_log_coefficients(spec, level))
+            assert closed == pytest.approx(oracle, rel=1e-12), key + (level,)
+        checked += 1
+    # depths 1-4 admit gaps 1-5; depth 5, lowest capacity 3, gaps 1 and 2
+    assert checked == len(GRID_LOADS) * (5 + 5 + 5 + 5 + 2)
 
 
 #: transition_rates of (a, n_d, gap) as computed by the scalar scipy
@@ -174,9 +185,8 @@ def test_coefficients_reject_bad_level():
 
 def test_single_level_distribution_is_loss_occupancy():
     spec = mk_chain((100.0,), (3,), (), (), 1.0, 1.0)
-    dist = partition_distribution(spec, 1)
-    assert dist.user_counts == (0, 1, 2, 3)
-    assert dist.probabilities == pytest.approx(np.array([6, 6, 3, 1]) / 16.0, rel=1e-12)
+    assert tuple(spec.user_range(1)) == (0, 1, 2, 3)
+    assert conditional(spec, 1) == pytest.approx(np.array([6, 6, 3, 1]) / 16.0, rel=1e-12)
 
 
 def test_upper_level_distribution_matches_global_conditional():
@@ -184,8 +194,7 @@ def test_upper_level_distribution_matches_global_conditional():
     chain = build_global_chain(spec)
     pi = ctmc.steady_state(chain.q)
     idx = list(chain.partition_indices(2))
-    dist = partition_distribution(spec, 2)
-    assert np.abs(dist.probabilities - pi[idx] / pi[idx].sum()).max() < 1e-9
+    assert np.abs(conditional(spec, 2) - pi[idx] / pi[idx].sum()).max() < 1e-9
 
 
 def test_distributions_normalized_across_random_loads():
@@ -195,7 +204,7 @@ def test_distributions_normalized_across_random_loads():
         spec = mk_chain((307.2, 614.4, 1228.8), (12, 25, 50), (12, 25), (11, 24),
                         rho * 0.5, 0.5)
         for level in (1, 2, 3):
-            p = partition_distribution(spec, level).probabilities
+            p = conditional(spec, level)
             assert p.min() >= 0.0
             assert abs(p.sum() - 1.0) < 1e-10
 
@@ -203,11 +212,9 @@ def test_distributions_normalized_across_random_loads():
 def test_single_level_blocking_is_erlang_b():
     for rho in (0.5, 2.5, 10.0, 30.0):
         spec = mk_chain((1228.8,), (50,), (), (), rho * 0.5, 0.5)
-        dist = partition_distribution(spec, 1)
-        assert dist.probability_of(50) == pytest.approx(erlang_b(rho, 50), rel=1e-12)
+        assert conditional(spec, 1)[50] == pytest.approx(erlang_b(rho, 50), rel=1e-12)
     spec5 = mk_chain((100.0,), (5,), (), (), 2.5, 1.0)
-    assert partition_distribution(spec5, 1).probability_of(5) == pytest.approx(
-        erlang_b(2.5, 5), rel=1e-12)
+    assert conditional(spec5, 1)[5] == pytest.approx(erlang_b(2.5, 5), rel=1e-12)
 
 
 def test_threshold_occupancy_increases_with_load():
@@ -215,8 +222,7 @@ def test_threshold_occupancy_increases_with_load():
     for rho in (0.2, 0.8, 2.0, 3.5, 5.0, 5.8):
         spec = toy_chain(rho)
         for level in (1, 2):
-            dist = partition_distribution(spec, level)
-            here = dist.probability_of(spec.forward_at(level))
+            here = conditional(spec, level)[-1]       # at the forward threshold
             assert here > last[level]
             last[level] = here
 
@@ -278,22 +284,22 @@ def test_decomposition_reconstructs_global_distribution():
         levels = rate_level_distribution(transition_rates(spec))
         off = float(pi[chain.index_of(0, 0)])
         for level in range(1, spec.level_count + 1):
-            dist = partition_distribution(spec, level)
+            dist = conditional(spec, level)
             mass = global_partition_mass(chain, level)
             if level == 1:
                 # the off state sits inside level 1's conditional law but is
                 # carried separately by the level marginal
-                recon_off = mass * dist.probability_of(0)
+                recon_off = mass * dist[0]
                 assert abs(recon_off - off) < tol
-            for users in dist.user_counts:
+            for users, p in zip(spec.user_range(level), dist):
                 if users == 0:
                     continue
                 global_p = float(pi[chain.index_of(users, level)])
-                assert abs(mass * dist.probability_of(users) - global_p) < tol
+                assert abs(mass * p - global_p) < tol
 
 
 # ---------------------------------------------------------------------------
-# chain-solver fallback
+# the rates against their definition
 
 def chain_rates(spec):
     """transition_rates' definition read off the full chain's steady state."""
@@ -311,38 +317,9 @@ def chain_rates(spec):
     return tuple(up), tuple(down)
 
 
-def test_cancellation_falls_back_to_chain_solver(monkeypatch, caplog):
-    # gap 3 leaves levels 1 and 2 a band above the reverse threshold; an
-    # echo inflated e^10-fold there drives its coefficients below zero
-    spec = unit_spec(0.25, 3, 3)
-    closed = transition_rates(spec)
-    real_echo = rru._log_echo
-
-    def inflated(users, r_l, log_rho, lf):
-        out = real_echo(users, r_l, log_rho, lf)
-        out[:-1] += 10.0        # not the echo that closes the recurrence
-        return out
-
-    monkeypatch.setattr(rru, "_log_echo", inflated)
-    with pytest.raises(ValueError, match="came out negative"):
-        rru._log_coefficients(spec, 1)
-
-    with caplog.at_level(logging.WARNING, logger="vrfplan.rru"):
+def test_transition_rates_match_their_chain_definition():
+    for key, spec in unit_grid():
+        up, down = chain_rates(spec)
         rates = transition_rates(spec)
-    failed = [r.getMessage() for r in caplog.records if "closed form failed" in r.getMessage()]
-    assert [m.split(" (")[0] for m in failed] == [
-        "closed form failed for level 1", "closed form failed for level 2"]
-
-    up, down = chain_rates(spec)
-    assert rates.up == pytest.approx(up, rel=1e-12)
-    assert rates.down == pytest.approx(down, rel=1e-12)
-    # the chain solver and the closed form agree as closely as the oracle test asks
-    assert rates.up == pytest.approx(closed.up, rel=1e-9)
-    assert rates.down == pytest.approx(closed.down, rel=1e-9)
-
-    chain = build_global_chain(spec)
-    pi = ctmc.steady_state(chain.q)
-    for level in (1, 2):
-        idx = list(chain.partition_indices(level))
-        dist = partition_distribution(spec, level)
-        assert dist.probabilities == pytest.approx(pi[idx] / pi[idx].sum(), rel=1e-12)
+        assert rates.up == pytest.approx(up, rel=1e-12), key
+        assert rates.down == pytest.approx(down, rel=1e-12), key

@@ -16,12 +16,12 @@ from vrfplan import (
     SimConfig,
     SimStats,
     blocking_for_planning,
-    build_global_chain,
     config_from_dict,
     reconfig_arrival_probability,
     transition_rates,
 )
 from vrfplan import sim
+from vrfplan.rru import build_global_chain
 
 import reference_sim
 from util import TwoUnitExact, erlang_b, mk_chain, takacs_loss
