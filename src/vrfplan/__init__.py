@@ -29,7 +29,6 @@ from .config import (
     default_thresholds,
     load_config,
     select_rates,
-    traffic_from_load,
 )
 from .errors import (
     CapacityError,
@@ -81,6 +80,5 @@ __all__ = [
     "run",
     "select_rates",
     "spec_from_planning",
-    "traffic_from_load",
     "transition_rates",
 ]

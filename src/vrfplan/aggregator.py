@@ -397,13 +397,11 @@ def detailed_balance_check(
 def spec_from_planning(planning: PlanningConfig) -> AggregatorSpec:
     """Assemble the cluster spec from a planning configuration: derive the
     per-unit level-transition rates, then attach cluster size and link."""
-    chain = RruChainSpec(rate_set=planning.rate_set, thresholds=planning.thresholds,
-                         traffic=planning.traffic)
     return AggregatorSpec(
         cluster_size=planning.cluster_size,
         rate_set=planning.rate_set,
         link_capacity_mbps=planning.link_capacity_mbps,
-        rates=transition_rates(chain),
+        rates=transition_rates(RruChainSpec.from_planning(planning)),
     )
 
 

@@ -64,16 +64,15 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-def _parse_arrival(text: str) -> tuple[str, float]:
-    """Parse 'poisson' or 'weibull:K' into (kind, shape)."""
+def _parse_arrival(text: str) -> float:
+    """Parse 'poisson' or 'weibull:K' into the inter-arrival shape."""
     if text == "poisson":
-        return "poisson", 1.0
+        return 1.0
     if text.startswith("weibull:"):
         try:
-            shape = float(text.split(":", 1)[1])
+            return float(text.split(":", 1)[1])
         except ValueError:
             raise VrfError(f"bad arrival spec {text!r}: shape must be a number")
-        return "weibull", shape
     raise VrfError(f"bad arrival spec {text!r}: expected poisson or weibull:K")
 
 
@@ -176,9 +175,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     planning = load_config(args.config, args.gap)
-    kind, shape = _parse_arrival(args.arrival)
-    cfg = sim.SimConfig.from_planning(planning, args.events, args.seed, kind, shape,
-                                      args.latency)
+    cfg = sim.SimConfig.from_planning(planning, args.events, args.seed,
+                                      _parse_arrival(args.arrival), args.latency)
     t0 = time.perf_counter()
     stats = sim.run(cfg)
     wall = time.perf_counter() - t0
@@ -260,13 +258,13 @@ def _plan_points(plan: dict) -> list[dict]:
     points = []
     for a, n_d, gap, arrival, n in itertools.product(
             plan["a"], plan["n_d"], plan["gap"], plan["arrival"], plan["n"]):
-        kind, shape = _parse_arrival(arrival)
+        shape = _parse_arrival(arrival)
         planning = config_from_dict({
             "a": a, "n_d": n_d, "threshold_gap": gap, "cluster_size": n,
             "mu": plan["mu"], "fha_capacity_mbps": plan["fha_capacity_mbps"],
         })
         points.append({
-            "planning": planning, "arrival": arrival, "kind": kind, "shape": shape,
+            "planning": planning, "arrival": arrival, "shape": shape,
             "mode": plan["mode"], "events": plan["events"],
             "seed": _coordinate_seed(plan["base_seed"], a, n_d, gap, arrival, n,
                                      plan["events"]),
@@ -284,7 +282,7 @@ def _sweep_point(point: dict) -> dict:
             analytic = _analytic(planning)
         if point["mode"] != "analytic":
             cfg = sim.SimConfig.from_planning(planning, point["events"], point["seed"],
-                                              point["kind"], point["shape"])
+                                              point["shape"])
             simulated = (point["arrival"], sim.run(cfg))
         agree = _agree(analytic, simulated)
     except Exception as exc:        # noqa: BLE001 - row-level isolation
@@ -314,17 +312,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             for point in points:
                 emit(_sweep_point(point))
         else:
-            # rows come back in any order; emit them in canonical order as
-            # soon as every earlier row is available
+            # map yields rows in canonical order, each once it and every
+            # earlier row are done
             with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                futures = {pool.submit(_sweep_point, p): i for i, p in enumerate(points)}
-                ready: dict[int, dict] = {}
-                next_emit = 0
-                for fut in concurrent.futures.as_completed(futures):
-                    ready[futures[fut]] = fut.result()
-                    while next_emit in ready:
-                        emit(ready.pop(next_emit))
-                        next_emit += 1
+                for row in pool.map(_sweep_point, points):
+                    emit(row)
     finally:
         if out is not sys.stdout:
             out.close()
@@ -350,10 +342,7 @@ def _random_chain_spec(rng: np.random.Generator) -> rru.RruChainSpec:
         if any(reverse[i] <= forward[i - 1] for i in range(1, m - 1)):
             continue
         rho = float(rng.uniform(0.1, 40.0))
-        server_count = int(caps[-1])
-        mu = DEFAULT_SERVICE_RATE
-        lam = rho * mu
-        a = lam / (server_count * mu)
+        a = rho / caps[-1]
         if not 0.0 < a < 1.0:
             continue
         rates = tuple(76.8 * c / caps[0] for c in caps)
@@ -361,7 +350,7 @@ def _random_chain_spec(rng: np.random.Generator) -> rru.RruChainSpec:
             return rru.RruChainSpec(
                 rate_set=RateSet(rates=rates, capacities=tuple(int(c) for c in caps)),
                 thresholds=ThresholdPolicy(forward=forward, reverse=reverse),
-                traffic=TrafficSpec(lam=lam, mu=mu, a=a, server_count=server_count),
+                traffic=TrafficSpec(a=a, mu=DEFAULT_SERVICE_RATE),
             )
         except VrfError:
             continue
@@ -407,7 +396,7 @@ def _suite_product_form(rng: np.random.Generator, count: int = 25) -> dict:
     control = rru.RruChainSpec(
         rate_set=RateSet(rates=(76.8, 153.6), capacities=(3, 6)),
         thresholds=ThresholdPolicy(forward=(3,), reverse=(2,)),
-        traffic=TrafficSpec(lam=1.5, mu=0.5, a=0.5, server_count=6),
+        traffic=TrafficSpec(a=0.5, mu=0.5),
     )
     tight = aggregator.AggregatorSpec(
         cluster_size=4, rate_set=control.rate_set,

@@ -15,8 +15,6 @@ from .errors import InvalidConfigError
 
 #: Shared-link capacity (Mbit/s) used when a config file does not override it.
 DEFAULT_LINK_CAPACITY_MBPS = 10000.0
-#: Per-unit server count (simultaneous calls) used by default.
-DEFAULT_SERVER_COUNT = 50
 #: Per-call service completion rate used by default.
 DEFAULT_SERVICE_RATE = 0.5
 #: Matching tolerance when looking up a rate value inside a profile.
@@ -25,6 +23,11 @@ _RATE_MATCH_TOL = 1e-6
 _GRID_MAX_DENOMINATOR = 1000
 #: A link quotient this close (relative) to an integer k admits k grid units.
 _GRID_SNAP_TOL = 1e-9
+
+
+def _is_number(value: object) -> bool:
+    """An int or float, not a bool (which is an int subclass)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -39,10 +42,15 @@ class ProfileRow:
     max_users: int
 
     def validate(self) -> None:
-        for name in ("bandwidth_mhz", "fft_size", "prb_count", "rate_mbps", "max_users"):
+        for name in ("fft_size", "prb_count", "max_users"):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
-                raise InvalidConfigError(f"profile.{name}", f"must be a positive number, got {value!r}")
+            if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
+                raise InvalidConfigError(f"profile.{name}", f"must be a positive integer, got {value!r}")
+        for name in ("bandwidth_mhz", "rate_mbps"):
+            value = getattr(self, name)
+            if not _is_number(value) or not 0 < value < math.inf:
+                raise InvalidConfigError(f"profile.{name}",
+                                         f"must be a positive finite number, got {value!r}")
         # two resource blocks serve one call
         if self.max_users != self.prb_count // 2:
             raise InvalidConfigError(
@@ -109,8 +117,10 @@ class RateSet:
     def __post_init__(self) -> None:
         if not self.rates or len(self.rates) != len(self.capacities):
             raise InvalidConfigError("rate_set", "rates and capacities must be non-empty and equal-length")
-        if any(not 0 < r < math.inf for r in self.rates) or any(c <= 0 for c in self.capacities):
-            raise InvalidConfigError("rate_set", "rates must be positive and finite, capacities positive")
+        if (any(not 0 < r < math.inf for r in self.rates)
+                or any(not isinstance(c, int) or isinstance(c, bool) or c <= 0 for c in self.capacities)):
+            raise InvalidConfigError("rate_set",
+                                     "rates must be positive and finite, capacities positive integers")
         if list(self.rates) != sorted(self.rates) or len(set(self.rates)) != len(self.rates):
             raise InvalidConfigError("rate_set", "rates must be strictly ascending")
         if list(self.capacities) != sorted(set(self.capacities)):
@@ -205,7 +215,7 @@ class ThresholdPolicy:
         if len(self.forward) != len(self.reverse):
             raise InvalidConfigError("thresholds", "forward and reverse must have equal length")
         f, r = self.forward, self.reverse
-        if any(not isinstance(x, int) or x < 1 for x in f + r):
+        if any(not isinstance(x, int) or isinstance(x, bool) or x < 1 for x in f + r):
             raise InvalidConfigError("thresholds", "all thresholds must be integers >= 1")
         if any(rl > fl for fl, rl in zip(f, r)):
             raise InvalidConfigError("thresholds", "reverse thresholds must not exceed forward thresholds")
@@ -238,39 +248,18 @@ def default_thresholds(rate_set: RateSet, gap: int) -> ThresholdPolicy:
 
 @dataclass(frozen=True)
 class TrafficSpec:
-    """Per-unit call traffic: arrival intensity, service rate, and the
-    dimensionless normalized load a = lambda / (servers * mu)."""
+    """Per-unit call traffic: the normalized load a = lambda / (K * mu) and
+    the per-call service rate mu. The arrival rate lambda follows once the
+    unit's server count K is known (`RruChainSpec.lam`)."""
 
-    lam: float
-    mu: float
     a: float
-    server_count: int
+    mu: float
 
     def __post_init__(self) -> None:
-        if self.lam <= 0 or self.mu <= 0:
-            raise InvalidConfigError("traffic", "lambda and mu must be positive")
-        if (not isinstance(self.server_count, int) or isinstance(self.server_count, bool)
-                or self.server_count < 1):
-            raise InvalidConfigError("server_count", f"must be an integer >= 1, got {self.server_count!r}")
-        if not math.isclose(self.a, self.lam / (self.server_count * self.mu), rel_tol=1e-12):
-            raise InvalidConfigError("a", "must equal lambda / (server_count * mu) exactly")
-        if not 0.0 < self.a < 1.0:
-            raise InvalidConfigError("a", f"normalized load must lie in (0, 1), got {self.a}")
-
-    @property
-    def rho(self) -> float:
-        return self.lam / self.mu
-
-
-def traffic_from_load(a: float, mu: float, server_count: int) -> TrafficSpec:
-    """Build a TrafficSpec from normalized load: lambda = a * servers * mu."""
-    if not (isinstance(a, (int, float)) and not isinstance(a, bool)) or not 0.0 < a < 1.0:
-        raise InvalidConfigError("a", f"must be a number in (0, 1), got {a!r}")
-    if not (isinstance(mu, (int, float)) and not isinstance(mu, bool)) or mu <= 0:
-        raise InvalidConfigError("mu", f"must be a positive number, got {mu!r}")
-    if not isinstance(server_count, int) or isinstance(server_count, bool) or server_count < 1:
-        raise InvalidConfigError("server_count", f"must be an integer >= 1, got {server_count!r}")
-    return TrafficSpec(lam=a * server_count * mu, mu=mu, a=a, server_count=server_count)
+        if not _is_number(self.a) or not 0.0 < self.a < 1.0:
+            raise InvalidConfigError("a", f"normalized load must be a number in (0, 1), got {self.a!r}")
+        if not _is_number(self.mu) or not 0.0 < self.mu < math.inf:
+            raise InvalidConfigError("mu", f"must be a positive finite number, got {self.mu!r}")
 
 
 @dataclass(frozen=True)
@@ -290,15 +279,10 @@ class PlanningConfig:
         if (not isinstance(self.cluster_size, int) or isinstance(self.cluster_size, bool)
                 or self.cluster_size < 1):
             raise InvalidConfigError("cluster_size", f"must be an integer >= 1, got {self.cluster_size!r}")
-        if not self.link_capacity_mbps > 0:
-            raise InvalidConfigError("fha_capacity_mbps", "must be positive")
+        if not _is_number(self.link_capacity_mbps) or not self.link_capacity_mbps > 0:
+            raise InvalidConfigError("fha_capacity_mbps",
+                                     f"must be a positive number, got {self.link_capacity_mbps!r}")
         rate_set = select_rates(self.profile, self.n_d)
-        if rate_set.server_count != self.traffic.server_count:
-            raise InvalidConfigError(
-                "server_count",
-                f"must match the top selected rate's capacity "
-                f"{rate_set.server_count}, got {self.traffic.server_count}",
-            )
         if self.link_capacity_mbps <= rate_set.rates[0]:
             raise InvalidConfigError(
                 "fha_capacity_mbps",
@@ -309,8 +293,7 @@ class PlanningConfig:
 
 
 _SCHEMA_KEYS = {
-    "profile", "n_d", "threshold_gap", "a", "mu",
-    "server_count", "cluster_size", "fha_capacity_mbps",
+    "profile", "n_d", "threshold_gap", "a", "mu", "cluster_size", "fha_capacity_mbps",
 }
 _REQUIRED_KEYS = {"n_d", "a", "cluster_size"}
 _ROW_KEYS = {"bandwidth_mhz", "fft_size", "prb_count", "rate_mbps", "max_users"}
@@ -340,48 +323,19 @@ def config_from_dict(raw: dict) -> PlanningConfig:
                 raise InvalidConfigError(
                     f"profile[{i}]", f"each row must be an object with keys {sorted(_ROW_KEYS)}"
                 )
-            try:
-                rows.append(ProfileRow(
-                    bandwidth_mhz=float(row["bandwidth_mhz"]),
-                    fft_size=int(row["fft_size"]),
-                    prb_count=int(row["prb_count"]),
-                    rate_mbps=float(row["rate_mbps"]),
-                    max_users=int(row["max_users"]),
-                ))
-            except (TypeError, ValueError) as exc:
-                raise InvalidConfigError(f"profile[{i}]", f"non-numeric field: {exc}") from exc
+            rows.append(ProfileRow(**row))
         profile = CpriProfile(rows=tuple(rows))
     else:
         profile = default_profile()
 
-    def _num(key: str, default: float | None = None) -> float:
-        value = raw.get(key, default)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise InvalidConfigError(key, f"must be a number, got {value!r}")
-        return float(value)
-
-    def _int(key: str, default: int | None = None) -> int:
-        value = raw.get(key, default)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise InvalidConfigError(key, f"must be an integer, got {value!r}")
-        return value
-
-    n_d = _int("n_d")
-    gap = _int("threshold_gap", 1)
-    server_count = _int("server_count", DEFAULT_SERVER_COUNT)
-    cluster_size = _int("cluster_size")
-    a = _num("a")
-    mu = _num("mu", DEFAULT_SERVICE_RATE)
-    b_c = _num("fha_capacity_mbps", DEFAULT_LINK_CAPACITY_MBPS)
-
-    traffic = traffic_from_load(a, mu, server_count)
+    # each value is checked by the type that owns it
     return PlanningConfig(
         profile=profile,
-        n_d=n_d,
-        threshold_gap=gap,
-        traffic=traffic,
-        cluster_size=cluster_size,
-        link_capacity_mbps=b_c,
+        n_d=raw["n_d"],
+        threshold_gap=raw.get("threshold_gap", 1),
+        traffic=TrafficSpec(a=raw["a"], mu=raw.get("mu", DEFAULT_SERVICE_RATE)),
+        cluster_size=raw["cluster_size"],
+        link_capacity_mbps=raw.get("fha_capacity_mbps", DEFAULT_LINK_CAPACITY_MBPS),
     )
 
 

@@ -1,10 +1,11 @@
 """Per-radio-unit threshold queue with hysteresis.
 
-A unit serves up to `server_count` simultaneous calls and steps its
-transport rate up at forward thresholds and down at reverse thresholds.
-This module computes each rate level's occupancy coefficients and the
-level-transition rates that drive the cluster-level model, and builds
-the unit's full (users, level) chain as their oracle.
+A unit serves up to its rate set's `server_count` simultaneous calls and
+steps its transport rate up at forward thresholds and down at reverse
+thresholds. This module computes each rate level's occupancy
+coefficients and the level-transition rates that drive the
+cluster-level model, and builds the unit's full (users, level) chain as
+their oracle.
 
 Coefficients are evaluated in log space on one path: a closed form up to
 each level's reverse threshold, and above it a cut recurrence that adds
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import ctmc
 from ._logspace import log_factorials, logsumexp
-from .config import RateSet, ThresholdPolicy, TrafficSpec
+from .config import PlanningConfig, RateSet, ThresholdPolicy, TrafficSpec
 from .errors import InvalidConfigError, InvalidParameterError
 
 
@@ -39,12 +40,6 @@ class RruChainSpec:
                 f"need exactly {m - 1} forward/reverse thresholds for {m} rates, "
                 f"got {len(self.thresholds.forward)}",
             )
-        if self.traffic.server_count != self.rate_set.server_count:
-            raise InvalidConfigError(
-                "server_count",
-                f"traffic server count {self.traffic.server_count} must equal the "
-                f"top rate capacity {self.rate_set.server_count}",
-            )
         for l, (f, k) in enumerate(zip(self.thresholds.forward, self.rate_set.capacities), start=1):
             if f > k:
                 raise InvalidConfigError(
@@ -62,19 +57,30 @@ class RruChainSpec:
                     f"F_{l - 1}={f_prev}",
                 )
 
+    @classmethod
+    def from_planning(cls, planning: PlanningConfig) -> RruChainSpec:
+        """The unit of a planning scenario."""
+        return cls(rate_set=planning.rate_set, thresholds=planning.thresholds,
+                   traffic=planning.traffic)
+
     @property
     def level_count(self) -> int:
         return self.rate_set.count
 
     @property
+    def lam(self) -> float:
+        """Per-unit call arrival rate, lambda = a * K * mu."""
+        return self.traffic.a * self.rate_set.server_count * self.traffic.mu
+
+    @property
     def rho(self) -> float:
-        return self.traffic.rho
+        return self.lam / self.traffic.mu
 
     def forward_at(self, level: int) -> int:
         """Forward threshold of `level`; the top level upgrades never, so its
         threshold is the server count."""
         if level == self.level_count:
-            return self.traffic.server_count
+            return self.rate_set.server_count
         return self.thresholds.forward[level - 1]
 
     def reverse_before(self, level: int) -> int:
@@ -145,7 +151,7 @@ def build_global_chain(spec: RruChainSpec) -> GlobalRruChain:
     forward threshold; departures remove one user at rate users*mu and
     cross down exactly at the reverse threshold.
     """
-    lam, mu = spec.traffic.lam, spec.traffic.mu
+    lam, mu = spec.lam, spec.traffic.mu
     states: list[tuple[int, int]] = [(0, 0)]
     for level in range(1, spec.level_count + 1):
         lo = max(spec.user_range(level).start, 1)
@@ -253,7 +259,7 @@ def transition_rates(spec: RruChainSpec) -> RruRates:
     Level 1 probabilities are conditioned on the unit being active, so
     that the off state's dwell is carried by the wake-up rate alone.
     """
-    lam, mu = spec.traffic.lam, spec.traffic.mu
+    lam, mu = spec.lam, spec.traffic.mu
     up = [lam]
     down = []
     for level in range(1, spec.level_count + 1):

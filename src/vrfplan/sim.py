@@ -1,8 +1,8 @@
 """Event-driven simulator of the full cluster.
 
-Each radio unit runs a loss system of `server_count` exponential servers
-fed by its own renewal arrival stream (exponential or Weibull
-inter-arrival times). Arrivals that land on a forward threshold, and
+Each radio unit runs a loss system of K exponential servers, K its rate
+set's server count, fed by its own renewal arrival stream (exponential
+or Weibull inter-arrival times). Arrivals that land on a forward threshold, and
 wake-ups of idle units, need extra bandwidth on the shared link and are
 dropped when it does not fit; arrivals finding every server busy are
 dropped regardless. Departures step the unit's rate down at reverse
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import PlanningConfig, RateSet, ThresholdPolicy, TrafficSpec
+from .config import PlanningConfig
 from .errors import InvalidConfigError, InvalidParameterError
 from .rru import RruChainSpec, transition_rates
 
@@ -59,27 +59,22 @@ _ARRIVAL, _DEPARTURE, _EXPIRY = 0, 1, 2
 
 @dataclass(frozen=True)
 class ArrivalProcess:
-    """Renewal arrival stream, either Poisson or Weibull with the same
-    nominal intensity.
+    """Renewal arrival stream: Weibull inter-arrival times of the given
+    shape, Poisson at shape 1.
 
-    The Weibull stream keeps scale 1/rate, so its mean inter-arrival
-    time is gamma(1 + 1/shape)/rate: shapes below 1 thin the traffic,
-    shapes above 1 thicken it, and shape 1 recovers Poisson exactly.
+    The stream keeps scale 1/rate, so its mean inter-arrival time is
+    gamma(1 + 1/shape)/rate: shapes below 1 thin the traffic, shapes
+    above 1 thicken it, and shape 1 is Poisson exactly.
     """
 
-    kind: str
     rate: float
     shape: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("poisson", "weibull"):
-            raise InvalidConfigError("arrival", f"kind must be poisson or weibull, got {self.kind!r}")
         if not self.rate > 0:
             raise InvalidConfigError("arrival", "rate must be positive")
         if not self.shape > 0:
             raise InvalidConfigError("arrival", f"shape must be positive, got {self.shape}")
-        if self.kind == "poisson" and self.shape != 1.0:
-            raise InvalidConfigError("arrival", "poisson arrivals take no shape parameter")
 
     @property
     def mean_interarrival(self) -> float:
@@ -97,26 +92,28 @@ class ArrivalProcess:
 def reconfig_arrival_probability(rate: float, window: float, n: int) -> float:
     """Probability that exactly n Poisson calls arrive within one
     reconfiguration window; rate and window share the same time unit."""
-    if not rate > 0 or not window > 0:
-        raise InvalidParameterError("rate and window must be positive")
+    x = rate * window
+    if not (0 < rate < math.inf and 0 < window < math.inf and 0 < x < math.inf):
+        raise InvalidParameterError(
+            f"rate and window must be positive and finite, with a product in "
+            f"floating-point range, got {rate!r} and {window!r}")
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise InvalidParameterError(f"n must be a non-negative integer, got {n!r}")
-    x = rate * window
     return math.exp(n * math.log(x) - x - math.lgamma(n + 1))
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Everything one replication needs; immutable and fully validated."""
+    """Everything one replication needs; immutable and fully validated.
+    Each unit's arrivals have the unit's rate lambda and the given
+    inter-arrival `shape` (1 is Poisson)."""
 
+    unit: RruChainSpec
     cluster_size: int
-    rate_set: RateSet
-    thresholds: ThresholdPolicy
-    traffic: TrafficSpec
     link_capacity_mbps: float
-    arrival: ArrivalProcess
     events: int
     seed: int
+    shape: float = 1.0
     reconfig_latency: float = 0.0
 
     def __post_init__(self) -> None:
@@ -132,35 +129,21 @@ class SimConfig:
         if not self.reconfig_latency >= 0:
             raise InvalidConfigError("reconfig_latency",
                                      f"must be non-negative, got {self.reconfig_latency!r}")
-        if len(self.thresholds.forward) != self.rate_set.count - 1:
-            raise InvalidConfigError(
-                "thresholds", f"need {self.rate_set.count - 1} thresholds for {self.rate_set.count} rates"
-            )
-        if self.traffic.server_count != self.rate_set.server_count:
-            raise InvalidConfigError(
-                "server_count",
-                f"traffic server count {self.traffic.server_count} must equal the top "
-                f"rate capacity {self.rate_set.server_count}",
-            )
-        if not math.isclose(self.arrival.rate, self.traffic.lam, rel_tol=1e-12):
-            raise InvalidConfigError(
-                "arrival", f"arrival rate {self.arrival.rate} must equal traffic lambda {self.traffic.lam}"
-            )
-        if not self.link_capacity_mbps > self.rate_set.rates[0]:
+        if not self.link_capacity_mbps > self.unit.rate_set.rates[0]:
             raise InvalidConfigError("fha_capacity_mbps", "must exceed the lowest rate")
+        self.arrival  # the arrival process checks the shape now, not at run time
+
+    @property
+    def arrival(self) -> ArrivalProcess:
+        return ArrivalProcess(rate=self.unit.lam, shape=self.shape)
 
     @classmethod
     def from_planning(cls, planning: PlanningConfig, events: int, seed: int,
-                      kind: str = "poisson", shape: float = 1.0,
-                      latency: float = 0.0) -> SimConfig:
-        """One replication of a planning scenario; `shape` applies to
-        Weibull arrivals only."""
-        arrival = ArrivalProcess(kind=kind, rate=planning.traffic.lam,
-                                 shape=shape if kind == "weibull" else 1.0)
-        return cls(cluster_size=planning.cluster_size, rate_set=planning.rate_set,
-                   thresholds=planning.thresholds, traffic=planning.traffic,
-                   link_capacity_mbps=planning.link_capacity_mbps, arrival=arrival,
-                   events=events, seed=seed, reconfig_latency=latency)
+                      shape: float = 1.0, latency: float = 0.0) -> SimConfig:
+        """One replication of a planning scenario."""
+        return cls(unit=RruChainSpec.from_planning(planning), cluster_size=planning.cluster_size,
+                   link_capacity_mbps=planning.link_capacity_mbps, events=events, seed=seed,
+                   shape=shape, reconfig_latency=latency)
 
 
 @dataclass(frozen=True)
@@ -228,19 +211,19 @@ def run(config: SimConfig) -> SimStats:
     unit's next arrival or as the holding time of an accepted call, so the
     block size does not change the outcome.
     """
+    chain = config.unit
+    rate_set = chain.rate_set
     n = config.cluster_size
-    m = config.rate_set.count
+    m = rate_set.count
     # loads are integer counts of the rate set's grid unit
-    steps = config.rate_set.steps
-    limit = config.rate_set.grid_limit(config.link_capacity_mbps, n)
-    big_k = config.traffic.server_count
-    mu = config.traffic.mu
+    steps = rate_set.steps
+    limit = rate_set.grid_limit(config.link_capacity_mbps, n)
+    big_k = rate_set.server_count
+    mu = chain.traffic.mu
     latency = config.reconfig_latency
     quantile = config.arrival.quantile
     block = _UNIFORM_BLOCK
 
-    chain = RruChainSpec(rate_set=config.rate_set, thresholds=config.thresholds,
-                         traffic=config.traffic)
     # forward[l] and reverse_prev[l] indexed by current level l (1-based);
     # an idle unit (l = 0) wakes up on its first call
     forward = [0] + [chain.forward_at(lv) for lv in range(1, m + 1)]
@@ -456,9 +439,9 @@ def run(config: SimConfig) -> SimStats:
         estimate_fha_per_arrival=blocked_fha / arrivals if arrivals else 0.0,
         estimate_rru_per_arrival=blocked_rru / arrivals if arrivals else 0.0,
         estimate_total_per_arrival=(blocked_rru + blocked_fha) / arrivals if arrivals else 0.0,
-        c_time_average=(math.fsum(b_cint) / elapsed * config.rate_set.unit_mbps
+        c_time_average=(math.fsum(b_cint) / elapsed * rate_set.unit_mbps
                         if elapsed > 0 else 0.0),
-        c_max=c_max * config.rate_set.unit_mbps,
+        c_max=c_max * rate_set.unit_mbps,
         events_processed=processed,
         warmup_events=warmup,
         seed=config.seed,

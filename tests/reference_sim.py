@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from vrfplan.rru import RruChainSpec, transition_rates
+from vrfplan.rru import transition_rates
 from vrfplan.sim import BATCH_COUNT, T_QUANTILE, ArrivalProcess, SimConfig, SimStats
 
 _CAPACITY_SLACK = 1e-6
@@ -43,18 +43,17 @@ def run(config: SimConfig) -> SimStats:
     are excluded from every counter; the rest split into equal batches
     whose means yield the confidence interval.
     """
+    chain = config.unit
     n = config.cluster_size
-    m = config.rate_set.count
-    d = list(config.rate_set.rates)
-    big_k = config.traffic.server_count
+    m = chain.rate_set.count
+    d = list(chain.rate_set.rates)
+    big_k = chain.rate_set.server_count
     b_c = config.link_capacity_mbps
-    mu = config.traffic.mu
+    mu = chain.traffic.mu
     latency = config.reconfig_latency
     interarrival = functools.partial(scalar_quantile, config.arrival)
     capacity_limit = b_c + _CAPACITY_SLACK
 
-    chain = RruChainSpec(rate_set=config.rate_set, thresholds=config.thresholds,
-                         traffic=config.traffic)
     # forward[l] and reverse_prev[l] indexed by current level l (1-based)
     forward = [0] + [chain.forward_at(lv) for lv in range(1, m + 1)]
     reverse_prev = [0] + [chain.reverse_before(lv) for lv in range(1, m + 1)]

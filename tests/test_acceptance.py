@@ -57,10 +57,10 @@ def _max_n_below(a, n_d, threshold, inclusive=False):
     return best
 
 
-def _simulate(a, n_d, n, kind, shape, label):
+def _simulate(a, n_d, n, shape, label):
     planning = config_from_dict({"a": a, "n_d": n_d, "cluster_size": n})
     seed = _coordinate_seed(0, a, n_d, 1, label, n, EVENTS)
-    return sim.run(SimConfig.from_planning(planning, EVENTS, seed, kind=kind, shape=shape))
+    return sim.run(SimConfig.from_planning(planning, EVENTS, seed, shape=shape))
 
 
 # How finely a run of EVENTS events resolves a blocking probability, decided
@@ -261,7 +261,7 @@ def test_simulation_confirms_analytics_across_load_grid(record_check):
                 regimes[regime] += 1
                 if regime == NOT_SIMULATED:
                     continue
-                stats = _simulate(a, n_d, n, "poisson", 1.0, "poisson")
+                stats = _simulate(a, n_d, n, 1.0, "poisson")
                 est, se = stats.estimate_fha_flow, stats.stderr
                 diff = abs(est - pb)
                 if regime == MAGNITUDE:
@@ -309,9 +309,9 @@ def test_interarrival_shape_orders_blocking(record_check):
             regimes[regime] += 1
             if regime in (NOT_SIMULATED, MAGNITUDE):
                 continue
-            spiky = _simulate(0.3, n_d, n, "weibull", 1.5, "weibull:1.5")
-            plain = _simulate(0.3, n_d, n, "poisson", 1.0, "poisson")
-            bursty = _simulate(0.3, n_d, n, "weibull", 0.9, "weibull:0.9")
+            spiky = _simulate(0.3, n_d, n, 1.5, "weibull:1.5")
+            plain = _simulate(0.3, n_d, n, 1.0, "poisson")
+            bursty = _simulate(0.3, n_d, n, 0.9, "weibull:0.9")
             hi, mid, lo = (spiky.estimate_fha_flow, plain.estimate_fha_flow,
                            bursty.estimate_fha_flow)
             if regime == SATURATED:

@@ -8,12 +8,14 @@ import vrfplan
 #: Names that left the public API: chain-reduction tools only the test
 #: oracles use (now in tests/chain_reduction.py), a sampler only tests
 #: called, a copy of the switching rules, the lowest-rate unit count
-#: the rate set's grid limit replaced, and the per-level distribution the
-#: rates now read straight from the log coefficients.
+#: the rate set's grid limit replaced, the per-level distribution the
+#: rates now read straight from the log coefficients, and the traffic
+#: builder whose lambda `RruChainSpec.lam` now derives from the rate set.
 REMOVED = (
     "Partition", "uniformize", "stochastic_complement", "fold_back_conditional",
     "dtmc_steady_state", "sample_interarrival", "rate_after_arrival",
     "rate_after_departure", "max_rru", "PartitionDistribution", "partition_distribution",
+    "traffic_from_load",
 )
 #: The enumerated cluster model: the oracle of the load-grid solve, which
 #: `vrfplan validate` and the tests reach through `vrfplan.aggregator`.
@@ -51,7 +53,8 @@ def test_all_equals_the_imported_names():
 def test_removed_names_stay_removed():
     for name in REMOVED:
         assert not hasattr(vrfplan, name), name
-        for module in (vrfplan.aggregator, vrfplan.ctmc, vrfplan.rru, vrfplan.sim):
+        for module in (vrfplan.aggregator, vrfplan.config, vrfplan.ctmc, vrfplan.rru,
+                       vrfplan.sim):
             assert not hasattr(module, name), (module.__name__, name)
 
 

@@ -11,14 +11,15 @@ from vrfplan import (
     InvalidConfigError,
     PlanningConfig,
     RateSet,
+    RruChainSpec,
     ThresholdPolicy,
     TrafficSpec,
+    blocking_for_planning,
     config_from_dict,
     default_profile,
     default_thresholds,
     load_config,
     select_rates,
-    traffic_from_load,
 )
 
 
@@ -126,33 +127,47 @@ def test_threshold_policy_validation():
         ThresholdPolicy(forward=(12, 25), reverse=(12, 24))
 
 
+def test_threshold_policy_rejects_bool():
+    # bool is an int subclass; True must not pass as a threshold of one
+    with pytest.raises(InvalidConfigError, match="thresholds"):
+        ThresholdPolicy(forward=(3,), reverse=(True,))
+
+
 # ---------------------------------------------------------------------------
 # traffic
 
-def test_traffic_from_load_examples():
-    assert traffic_from_load(0.2, 0.5, 50).lam == pytest.approx(5.0, rel=1e-15)
-    assert traffic_from_load(0.2, 1.0, 50).lam == pytest.approx(10.0, rel=1e-15)
-    assert traffic_from_load(0.5, 0.5, 50).lam == pytest.approx(12.5, rel=1e-15)
+def _unit(a, mu, servers):
+    """A one-rate unit of `servers` calls: lambda = a * servers * mu."""
+    return RruChainSpec(rate_set=RateSet(rates=(100.0,), capacities=(servers,)),
+                        thresholds=ThresholdPolicy(forward=(), reverse=()),
+                        traffic=TrafficSpec(a=a, mu=mu))
+
+
+def test_unit_lam_examples():
+    assert _unit(0.2, 0.5, 50).lam == pytest.approx(5.0, rel=1e-15)
+    assert _unit(0.2, 1.0, 50).lam == pytest.approx(10.0, rel=1e-15)
+    assert _unit(0.5, 0.5, 50).lam == pytest.approx(12.5, rel=1e-15)
 
 
 @given(a=st.floats(0.01, 0.99), mu=st.floats(0.05, 10.0),
        servers=st.integers(1, 80))
 def test_traffic_round_trip(a, mu, servers):
-    t = traffic_from_load(a, mu, servers)
-    assert t.a == pytest.approx(a, rel=1e-12)
-    assert t.lam / (t.server_count * t.mu) == pytest.approx(a, rel=1e-12)
+    unit = _unit(a, mu, servers)
+    assert unit.traffic.a == pytest.approx(a, rel=1e-12)
+    assert unit.lam / (unit.rate_set.server_count * unit.traffic.mu) == pytest.approx(a, rel=1e-12)
 
 
-def test_traffic_rejects_inconsistent_load():
-    with pytest.raises(InvalidConfigError):
-        TrafficSpec(lam=5.0, mu=0.5, a=0.3, server_count=50)
-    # bool is an int subclass; True must not pass as one server
-    with pytest.raises(InvalidConfigError, match="server_count"):
-        TrafficSpec(lam=0.25, mu=0.5, a=0.5, server_count=True)
-    with pytest.raises(InvalidConfigError):
-        traffic_from_load(0.0, 0.5, 50)
-    with pytest.raises(InvalidConfigError):
-        traffic_from_load(1.0, 0.5, 50)
+def test_traffic_validation():
+    with pytest.raises(InvalidConfigError, match="a"):
+        TrafficSpec(a=0.0, mu=0.5)
+    with pytest.raises(InvalidConfigError, match="a"):
+        TrafficSpec(a=1.0, mu=0.5)
+    for a in (True, "0.25", math.nan):
+        with pytest.raises(InvalidConfigError, match="a"):
+            TrafficSpec(a=a, mu=0.5)
+    for mu in (0.0, -1.0, math.inf, math.nan, True, "0.5"):
+        with pytest.raises(InvalidConfigError, match="mu"):
+            TrafficSpec(a=0.25, mu=mu)
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +184,10 @@ def test_rate_set_validation():
         RateSet(rates=(), capacities=())
     with pytest.raises(InvalidConfigError):
         RateSet(rates=(100.0, math.inf), capacities=(3, 6))
+    # the top capacity is the unit's server count K: a whole number of calls
+    for capacities in ((3, 6.5), (3, 6.0), (True, 6)):
+        with pytest.raises(InvalidConfigError, match="capacities"):
+            RateSet(rates=(100.0, 200.0), capacities=capacities)
 
 
 def test_planning_ladders_sit_on_the_lowest_rate_grid():
@@ -203,7 +222,7 @@ def test_planning_config_derives_rates_and_thresholds():
     assert cfg.thresholds.forward == (12, 25)
     assert cfg.thresholds.reverse == (11, 24)
     assert cfg.link_capacity_mbps == 10000.0
-    assert cfg.traffic.lam == pytest.approx(0.25 * 50 * 0.5)
+    assert RruChainSpec.from_planning(cfg).lam == pytest.approx(0.25 * 50 * 0.5)
 
 
 def test_config_from_dict_rejects_unknown_key():
@@ -227,10 +246,51 @@ def test_config_from_dict_rejects_bad_types():
 
 def test_planning_config_rejects_bool_cluster_size():
     # bool is an int subclass; True must not pass as a cluster of one
-    traffic = traffic_from_load(0.25, 0.5, 50)
+    traffic = TrafficSpec(a=0.25, mu=0.5)
     with pytest.raises(InvalidConfigError, match="cluster_size"):
         PlanningConfig(profile=default_profile(), n_d=3, threshold_gap=1,
                        traffic=traffic, cluster_size=True)
+
+
+def test_planning_config_rejects_a_non_numeric_link():
+    with pytest.raises(InvalidConfigError, match="fha_capacity_mbps"):
+        PlanningConfig(profile=default_profile(), n_d=3, threshold_gap=1,
+                       traffic=TrafficSpec(a=0.25, mu=0.5), cluster_size=8,
+                       link_capacity_mbps="1e4")
+
+
+#: A three-rate ladder whose top row serves 40 calls.
+PROFILE_40 = [
+    {"bandwidth_mhz": 5.0, "fft_size": 512, "prb_count": 20, "rate_mbps": 200.0, "max_users": 10},
+    {"bandwidth_mhz": 10.0, "fft_size": 1024, "prb_count": 40, "rate_mbps": 400.0, "max_users": 20},
+    {"bandwidth_mhz": 20.0, "fft_size": 2048, "prb_count": 80, "rate_mbps": 800.0, "max_users": 40},
+]
+
+
+def test_custom_profile_takes_its_server_count_from_the_top_row():
+    cfg = config_from_dict({"profile": PROFILE_40, "a": 0.25, "n_d": 3, "cluster_size": 20})
+    unit = RruChainSpec.from_planning(cfg)
+    assert cfg.rate_set.server_count == 40
+    assert unit.forward_at(3) == 40
+    assert unit.lam == 0.25 * 40 * 0.5
+    assert 0.0 < blocking_for_planning(cfg).total < 1.0
+
+
+def test_config_from_dict_rejects_server_count():
+    # the server count is the profile's top row; there is nothing to set
+    with pytest.raises(InvalidConfigError, match="server_count"):
+        config_from_dict({"a": 0.25, "n_d": 3, "cluster_size": 8, "server_count": 50})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("prb_count", 80.9), ("rate_mbps", "800.0"), ("fft_size", True),
+    ("max_users", 40.0), ("bandwidth_mhz", math.inf),
+])
+def test_profile_rows_are_not_coerced(field, value):
+    rows = [dict(row) for row in PROFILE_40]
+    rows[-1][field] = value
+    with pytest.raises(InvalidConfigError, match=field):
+        config_from_dict({"profile": rows, "a": 0.25, "n_d": 3, "cluster_size": 8})
 
 
 def test_load_config_round_trip(tmp_path):

@@ -9,12 +9,11 @@ import vrfplan
 QUERY = """
 import sys
 import vrfplan
-from vrfplan import (PlanningConfig, blocking_for_planning, default_profile, select_rates,
-                     spec_from_planning, traffic_from_load)
+from vrfplan import (PlanningConfig, TrafficSpec, blocking_for_planning, default_profile,
+                     spec_from_planning)
 
-profile = default_profile()
-planning = PlanningConfig(profile=profile, n_d=3, threshold_gap=1,
-                          traffic=traffic_from_load(0.25, 0.5, select_rates(profile, 3).server_count),
+planning = PlanningConfig(profile=default_profile(), n_d=3, threshold_gap=1,
+                          traffic=TrafficSpec(a=0.25, mu=0.5),
                           cluster_size=16, link_capacity_mbps=10000.0)
 assert spec_from_planning(planning).rate_set.steps == (1, 2, 4)
 report = blocking_for_planning(planning)

@@ -58,7 +58,7 @@ def test_single_level_chain_is_loss_birth_death():
 
 def test_two_level_chain_crossing_edges():
     chain = build_global_chain(toy_chain())
-    lam = toy_chain().traffic.lam
+    lam = toy_chain().lam
     mu = toy_chain().traffic.mu
     # at the forward threshold an arrival crosses into the higher level
     assert chain.q[chain.index_of(3, 1), chain.index_of(4, 2)] == pytest.approx(lam)
@@ -233,7 +233,7 @@ def test_threshold_occupancy_increases_with_load():
 def test_wakeup_rate_is_raw_arrival_rate():
     for rho in (0.4, 1.5, 4.0):
         spec = toy_chain(rho)
-        assert transition_rates(spec).up[0] == spec.traffic.lam
+        assert transition_rates(spec).up[0] == spec.lam
 
 
 def test_single_level_rates_reproduce_idle_probability():
@@ -305,7 +305,7 @@ def chain_rates(spec):
     """transition_rates' definition read off the full chain's steady state."""
     chain = build_global_chain(spec)
     pi = ctmc.steady_state(chain.q)
-    lam, mu = spec.traffic.lam, spec.traffic.mu
+    lam, mu = spec.lam, spec.traffic.mu
     up, down = [lam], []
     for level in range(1, spec.level_count + 1):
         idx = [i for i in chain.partition_indices(level) if chain.states[i] != (0, 0)]

@@ -41,24 +41,20 @@ def batch_se(numer, denom):
 # ---------------------------------------------------------------------------
 # arrival processes
 
-def test_poisson_rejects_shape():
+def test_arrival_rejects_bad_shape():
     with pytest.raises(InvalidConfigError):
-        ArrivalProcess(kind="poisson", rate=1.0, shape=1.5)
-    with pytest.raises(InvalidConfigError):
-        ArrivalProcess(kind="gamma", rate=1.0)
-    with pytest.raises(InvalidConfigError):
-        ArrivalProcess(kind="weibull", rate=1.0, shape=0.0)
+        ArrivalProcess(rate=1.0, shape=0.0)
 
 
 def test_mean_interarrival():
-    assert ArrivalProcess(kind="poisson", rate=4.0).mean_interarrival == pytest.approx(0.25)
-    w = ArrivalProcess(kind="weibull", rate=1.0, shape=0.9)
+    assert ArrivalProcess(rate=4.0).mean_interarrival == pytest.approx(0.25)
+    w = ArrivalProcess(rate=1.0, shape=0.9)
     assert w.mean_interarrival == pytest.approx(math.gamma(1 + 1 / 0.9), rel=1e-12)
 
 
 def test_shape_one_reduces_to_exponential():
     rng = np.random.default_rng(5)
-    w = ArrivalProcess(kind="weibull", rate=2.0, shape=1.0)
+    w = ArrivalProcess(rate=2.0, shape=1.0)
     samples = draws(w, rng, 100_000)
     d, p = sps.kstest(samples, sps.expon(scale=0.5).cdf)
     assert p > 0.01
@@ -66,7 +62,7 @@ def test_shape_one_reduces_to_exponential():
 
 def test_heavy_tail_sample_mean():
     rng = np.random.default_rng(7)
-    w = ArrivalProcess(kind="weibull", rate=1.0, shape=0.9)
+    w = ArrivalProcess(rate=1.0, shape=0.9)
     samples = draws(w, rng, 1_000_000)
     expect = math.gamma(1 + 1 / 0.9)
     assert expect == pytest.approx(1.0522, abs=5e-5)
@@ -76,7 +72,7 @@ def test_heavy_tail_sample_mean():
 def test_light_tail_sample_variance():
     rng = np.random.default_rng(11)
     k = 1.5
-    w = ArrivalProcess(kind="weibull", rate=2.0, shape=k)
+    w = ArrivalProcess(rate=2.0, shape=k)
     samples = draws(w, rng, 1_000_000)
     scale = 1.0 / 2.0
     expect = scale**2 * (math.gamma(1 + 2 / k) - math.gamma(1 + 1 / k) ** 2)
@@ -84,7 +80,7 @@ def test_light_tail_sample_variance():
 
 
 def test_quantile_monotone_and_positive():
-    w = ArrivalProcess(kind="weibull", rate=3.0, shape=0.9)
+    w = ArrivalProcess(rate=3.0, shape=0.9)
     grid = np.linspace(0.01, 0.99, 50)
     q = w.quantile(grid)
     assert (np.diff(q) > 0).all()
@@ -94,9 +90,9 @@ def test_quantile_monotone_and_positive():
 def test_quantile_on_arrays_matches_scalar_formula():
     # numpy's log1p and power may differ from libm's in the last bit
     u = np.random.default_rng(3).random(20_000)
-    for process in (ArrivalProcess(kind="poisson", rate=2.0),
-                    ArrivalProcess(kind="weibull", rate=3.0, shape=0.9),
-                    ArrivalProcess(kind="weibull", rate=0.5, shape=1.5)):
+    for process in (ArrivalProcess(rate=2.0),
+                    ArrivalProcess(rate=3.0, shape=0.9),
+                    ArrivalProcess(rate=0.5, shape=1.5)):
         want = np.array([reference_sim.scalar_quantile(process, x) for x in u])
         np.testing.assert_allclose(process.quantile(u), want, rtol=1e-14, atol=0.0)
 
@@ -133,6 +129,14 @@ def test_reconfig_probability_validation():
         reconfig_arrival_probability(-1.0, 0.5, 1)
     with pytest.raises(InvalidParameterError):
         reconfig_arrival_probability(1.0, 0.5, -1)
+
+
+def test_reconfig_probability_rejects_infinite_inputs():
+    # an infinite rate, window or product would give NaN, not an error
+    for rate, window in ((math.inf, 1.0), (1.0, math.inf), (1e200, 1e200)):
+        for n in (0, 1):
+            with pytest.raises(InvalidParameterError):
+                reconfig_arrival_probability(rate, window, n)
     with pytest.raises(InvalidParameterError):
         reconfig_arrival_probability(1.0, 0.5, 1.5)
 
@@ -184,8 +188,7 @@ def test_sim_config_validation():
     with pytest.raises(InvalidConfigError):
         sim.SimConfig(**{**good.__dict__, "link_capacity_mbps": 100.0})
     with pytest.raises(InvalidConfigError):
-        sim.SimConfig(**{**good.__dict__,
-                         "arrival": ArrivalProcess(kind="poisson", rate=1.0)})
+        sim.SimConfig(**{**good.__dict__, "shape": 0.0})
     with pytest.raises(InvalidConfigError):
         sim.SimConfig(**{**good.__dict__, "reconfig_latency": -0.5})
     with pytest.raises(InvalidConfigError, match="reconfig_latency"):
@@ -204,9 +207,9 @@ def test_sim_config_rejects_bool_cluster_size():
 # counters and reproducibility
 
 def test_conservation_and_batches():
-    for kind, shape in (("poisson", 1.0), ("weibull", 1.5), ("weibull", 0.9)):
+    for shape in (1.0, 1.5, 0.9):
         planning = config_from_dict({"a": 0.3, "n_d": 3, "cluster_size": 15})
-        stats = sim.run(SimConfig.from_planning(planning, 150_000, 3, kind=kind, shape=shape))
+        stats = sim.run(SimConfig.from_planning(planning, 150_000, 3, shape=shape))
         assert stats.arrivals == stats.accepted + stats.blocked_rru + stats.blocked_fha
         assert stats.events_processed == 150_000
         assert stats.warmup_events == 7_500
@@ -261,10 +264,7 @@ def test_oversubscribed_cluster_blocks_on_link():
 
 def test_single_unit_blocking_is_erlang_loss():
     chain = mk_chain((100.0,), (5,), (), (), 2.5, 1.0)
-    cfg = sim.SimConfig(cluster_size=1, rate_set=chain.rate_set,
-                        thresholds=chain.thresholds, traffic=chain.traffic,
-                        link_capacity_mbps=1000.0,
-                        arrival=ArrivalProcess(kind="poisson", rate=2.5),
+    cfg = sim.SimConfig(unit=chain, cluster_size=1, link_capacity_mbps=1000.0,
                         events=300_000, seed=9)
     stats = sim.run(cfg)
     se = batch_se(stats.batch_blocked_rru, stats.batch_arrivals)
@@ -294,11 +294,8 @@ def test_takacs_loss_with_poisson_arrivals_is_erlang_b():
 def test_single_unit_renewal_blocking_is_takacs_loss(shape, pinned):
     # one rate and a wide link: the unit is a GI/M/5/5 loss system
     chain = mk_chain((100.0,), (5,), (), (), 2.5, 1.0)
-    cfg = sim.SimConfig(cluster_size=1, rate_set=chain.rate_set,
-                        thresholds=chain.thresholds, traffic=chain.traffic,
-                        link_capacity_mbps=1000.0,
-                        arrival=ArrivalProcess(kind="weibull", rate=2.5, shape=shape),
-                        events=300_000, seed=9)
+    cfg = sim.SimConfig(unit=chain, cluster_size=1, link_capacity_mbps=1000.0,
+                        events=300_000, seed=9, shape=shape)
     oracle = takacs_loss(weibull_laplace(2.5, shape), 5, 1.0)
     assert oracle == pytest.approx(pinned, abs=5e-7)
     stats = sim.run(cfg)
@@ -312,10 +309,7 @@ def test_two_unit_cluster_matches_exact_chain():
     exact = model.blocked_attempt_fraction()
     assert exact == pytest.approx(0.41992, abs=5e-5)
     spec = model.chain_spec()
-    cfg = sim.SimConfig(cluster_size=2, rate_set=spec.rate_set,
-                        thresholds=spec.thresholds, traffic=spec.traffic,
-                        link_capacity_mbps=model.bc,
-                        arrival=ArrivalProcess(kind="poisson", rate=model.lam),
+    cfg = sim.SimConfig(unit=spec, cluster_size=2, link_capacity_mbps=model.bc,
                         events=1_000_000, seed=31)
     stats = sim.run(cfg)
     se = batch_se(stats.batch_blocked_fha, stats.batch_attempts)
@@ -363,12 +357,14 @@ def test_zero_latency_equals_default():
 #: that blocks, whose grid unit is 50 Mbit/s rather than its lowest rate.
 ENGINE_CLUSTERS = {"0.2-1-9": (0.2, 1, 9), "0.25-3-16": (0.25, 3, 16),
                    "0.5-2-13": (0.5, 2, 13), "toy-100-250": None}
+#: Inter-arrival shapes of the engine comparison, by arrival label.
+ENGINE_SHAPES = {"poisson-1.0": 1.0, "weibull-0.9": 0.9, "weibull-1.5": 1.5}
 
 
 @pytest.mark.parametrize("cluster", list(ENGINE_CLUSTERS.values()), ids=list(ENGINE_CLUSTERS))
 @pytest.mark.parametrize("latency", [0.0, 0.5])
-@pytest.mark.parametrize("kind, shape", [("poisson", 1.0), ("weibull", 0.9), ("weibull", 1.5)])
-def test_engine_matches_reference_engine(cluster, latency, kind, shape):
+@pytest.mark.parametrize("shape", list(ENGINE_SHAPES.values()), ids=list(ENGINE_SHAPES))
+def test_engine_matches_reference_engine(cluster, latency, shape):
     # same stream, same heap order: every count is equal; the integrals
     # are summed in another order and the uniforms transformed by numpy,
     # so floats agree to a tolerance fixed beforehand. The reference
@@ -377,14 +373,12 @@ def test_engine_matches_reference_engine(cluster, latency, kind, shape):
     if cluster is None:
         chain = mk_chain((100.0, 250.0), (3, 6), (3,), (2,), 1.5, 0.5)
         assert chain.rate_set.steps == (2, 5)
-        cfg = SimConfig(cluster_size=6, rate_set=chain.rate_set, thresholds=chain.thresholds,
-                        traffic=chain.traffic, link_capacity_mbps=700.0,
-                        arrival=ArrivalProcess(kind=kind, rate=chain.traffic.lam, shape=shape),
-                        events=100_000, seed=23, reconfig_latency=latency)
+        cfg = SimConfig(unit=chain, cluster_size=6, link_capacity_mbps=700.0,
+                        events=100_000, seed=23, shape=shape, reconfig_latency=latency)
     else:
         a, n_d, n = cluster
         planning = config_from_dict({"a": a, "n_d": n_d, "cluster_size": n})
-        cfg = SimConfig.from_planning(planning, 100_000, 23, kind, shape, latency)
+        cfg = SimConfig.from_planning(planning, 100_000, 23, shape, latency)
     got, want = sim.run(cfg), reference_sim.run(cfg)
     if cluster is None:
         assert want.blocked_fha > 0
@@ -401,7 +395,7 @@ def test_block_size_does_not_change_the_stream(monkeypatch, latency):
     # a block smaller than the cluster refills during the initial
     # scheduling as well as inside every batch
     planning = config_from_dict({"a": 0.3, "n_d": 3, "cluster_size": 16})
-    cfg = SimConfig.from_planning(planning, 100_000, 21, "weibull", 0.9, latency)
+    cfg = SimConfig.from_planning(planning, 100_000, 21, 0.9, latency)
     default = sim.run(cfg)
     monkeypatch.setattr(sim, "_UNIFORM_BLOCK", 7)
     assert sim.run(cfg) == default

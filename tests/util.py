@@ -47,7 +47,7 @@ def mk_chain(rates, caps, forward, reverse, lam, mu) -> RruChainSpec:
     return RruChainSpec(
         rate_set=RateSet(rates=tuple(float(r) for r in rates), capacities=caps),
         thresholds=ThresholdPolicy(forward=tuple(forward), reverse=tuple(reverse)),
-        traffic=TrafficSpec(lam=lam, mu=mu, a=lam / (caps[-1] * mu), server_count=caps[-1]),
+        traffic=TrafficSpec(a=lam / (caps[-1] * mu), mu=mu),
     )
 
 
