@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._logspace import log_factorials, logsumexp
-from .config import PlanningConfig, RateSet
+from .config import PlanningConfig, RateSet, _is_number
 from .errors import CapacityError, InvalidParameterError
 from .rru import RruChainSpec, RruRates, transition_rates
 
@@ -49,8 +49,10 @@ class AggregatorSpec:
         if (not isinstance(self.cluster_size, int) or isinstance(self.cluster_size, bool)
                 or self.cluster_size < 1):
             raise InvalidParameterError(f"cluster_size must be an integer >= 1, got {self.cluster_size!r}")
-        if not self.link_capacity_mbps > self.rate_set.rates[0]:
-            raise InvalidParameterError("link capacity must exceed the lowest rate")
+        if (not _is_number(self.link_capacity_mbps)
+                or not self.link_capacity_mbps > self.rate_set.rates[0]):
+            raise InvalidParameterError(
+                f"link capacity must be a number above the lowest rate, got {self.link_capacity_mbps!r}")
         if self.rates.level_count != self.rate_set.count:
             raise InvalidParameterError(
                 f"rate count mismatch: {self.rates.level_count} transition-rate levels "
@@ -308,6 +310,11 @@ def blocking(spec: AggregatorSpec, binomial_n: str = "effective") -> BlockingRep
     (N - nb) [f^nb]_L + nb [f^(nb-1)]_L, and the units at level l weigh
     nb w_l [f^(nb-1)]_(L - s_l); a flow at load L is blocked when its
     jump in load takes it past the grid limit.
+
+    Nearly all the time goes to those two powers (`_log_powers`): about
+    nb · (M + 1) · G log-sum-exp terms below 32 units, and about
+    nb · s_M · G exponentials, in (nb - 1) / b array passes of b units
+    each, from there on (G the grid limit, s_M the top rate's step).
     """
     nb = _binomial_count(spec, binomial_n)
     steps = spec.rate_set.steps
@@ -341,24 +348,104 @@ def blocking(spec: AggregatorSpec, binomial_n: str = "effective") -> BlockingRep
     )
 
 
+#: Below this many units f^nb is built one unit at a time.
+_BLOCKED_FROM = 32
+#: Largest load span b * s_M of one block f^b, which bounds the scratch
+#: of a block product at _MAX_SPAN + 1 rows of the grid.
+_MAX_SPAN = 64
+#: Terms this far below their load's largest are raised to it before
+#: `exp`: each is then under 1e-304 and cannot move a sum of at least 1,
+#: and `exp` never takes its slow path to a subnormal or zero result.
+_EXP_FLOOR = -700.0
+
+
+def _block_size(nb: int, top_step: int) -> int:
+    """Units per block: 1 below `_BLOCKED_FROM` units, else the power of
+    two nearest sqrt(nb)/2 (on a log scale), halved until its span
+    b * s_M fits `_MAX_SPAN`."""
+    b = 1
+    if nb >= _BLOCKED_FROM:
+        while 8 * b * b <= nb and 2 * b * top_step <= _MAX_SPAN:
+            b *= 2
+    return b
+
+
 def _log_powers(log_w: np.ndarray, steps: tuple[int, ...], gmax: int,
                 nb: int) -> tuple[np.ndarray, np.ndarray]:
     """Log coefficients of f^(nb-1) and f^nb up to x^gmax, where
     f(x) = 1 + sum_l w_l x^(s_l) is one unit: off, or at level l.
 
-    Multiplying by f one unit at a time adds only positive terms, so
-    every coefficient keeps its relative accuracy however small it is.
+    Below `_BLOCKED_FROM` units the powers are built one unit at a time
+    (`_times_unit`). From there on they are built a block of b units at a
+    time: f^b and f^r, r = (nb - 1) mod b, come from b unit steps on the
+    block's span, each of the (nb - 1) // b block products (`_times_block`)
+    adds b units, and one unit step gives f^nb. Every product adds only
+    positive terms, so every coefficient keeps its relative accuracy
+    however small it is, and the fewer products round fewer times.
     """
-    g = np.full(gmax + 1, -math.inf)
-    g[0] = 0.0
     terms = np.full((len(steps) + 1, gmax + 1), -math.inf)
-    prev = g
-    for _ in range(nb):
-        terms[0] = g
-        for row, (lw, s) in enumerate(zip(log_w, steps), start=1):
-            terms[row, s:] = g[:max(gmax + 1 - s, 0)] + lw
-        prev, g = g, np.logaddexp.reduce(terms, axis=0)
-    return prev, g
+    b = _block_size(nb, steps[-1])
+    if b == 1:
+        g = np.full(gmax + 1, -math.inf)
+        g[0] = 0.0
+        for _ in range(nb - 1):
+            g = _times_unit(g, log_w, steps, terms)
+    else:
+        span = min(b * steps[-1], gmax)
+        blocks, rest = divmod(nb - 1, b)
+        # g sits at padded[span:], so that padded[j:j + gmax + 1] is g
+        # shifted up by span - j loads
+        padded = np.full(span + gmax + 1, -math.inf)
+        padded[span] = 0.0
+        block = padded[span:2 * span + 1]
+        for i in range(b):
+            if i == rest:
+                padded[span:2 * span + 1] = block
+            block = _times_unit(block, log_w, steps, terms[:, :span + 1])
+        windows = np.lib.stride_tricks.sliding_window_view(padded, gmax + 1)
+        scratch = np.empty((span + 1, gmax + 1))
+        kernel = np.ascontiguousarray(block[::-1, None])
+        degree = rest * steps[-1]
+        for _ in range(blocks):
+            # f^n is zero above n * s_M: only the loads up to there are summed
+            degree = min(degree + span, gmax)
+            padded[span:span + degree + 1] = _times_block(windows[:, :degree + 1], kernel,
+                                                          scratch[:, :degree + 1])
+        g = padded[span:]
+    return g, _times_unit(g, log_w, steps, terms)
+
+
+def _times_unit(g: np.ndarray, log_w: np.ndarray, steps: tuple[int, ...],
+                terms: np.ndarray) -> np.ndarray:
+    """Log coefficients of g·f: one log-sum-exp over the unit's M + 1
+    states. `terms` is scratch of (M + 1) rows as wide as g, -inf below
+    each row's step."""
+    terms[0] = g
+    for row, (lw, s) in enumerate(zip(log_w, steps), start=1):
+        terms[row, s:] = g[:max(len(g) - s, 0)] + lw
+    return np.logaddexp.reduce(terms, axis=0)
+
+
+def _times_block(windows: np.ndarray, kernel: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Log coefficients of g·h for a block h of span k = len(kernel) - 1.
+
+    `windows[j]` is g shifted up by k - j loads (-inf below the shift) and
+    `kernel[j]` is the log coefficient k - j of h, so row j of `scratch`
+    holds every term with that coefficient of h. Each load's terms are
+    shifted by their maximum, so their sum lies in [1, k + 1]; a load with
+    no term stays -inf."""
+    np.add(windows, kernel, out=scratch)
+    top = scratch.max(axis=0)
+    empty = top == -math.inf
+    top[empty] = 0.0
+    scratch -= top
+    np.maximum(scratch, _EXP_FLOOR, out=scratch)
+    np.exp(scratch, out=scratch)
+    out = scratch.sum(axis=0)
+    np.log(out, out=out)
+    out += top
+    out[empty] = -math.inf
+    return out
 
 
 def detailed_balance_check(

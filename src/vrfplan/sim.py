@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import PlanningConfig
+from .config import PlanningConfig, _is_number
 from .errors import InvalidConfigError, InvalidParameterError
 from .rru import RruChainSpec, transition_rates
 
@@ -71,10 +71,10 @@ class ArrivalProcess:
     shape: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.rate > 0:
-            raise InvalidConfigError("arrival", "rate must be positive")
-        if not self.shape > 0:
-            raise InvalidConfigError("arrival", f"shape must be positive, got {self.shape}")
+        if not _is_number(self.rate) or not self.rate > 0:
+            raise InvalidConfigError("arrival", f"rate must be a positive number, got {self.rate!r}")
+        if not _is_number(self.shape) or not self.shape > 0:
+            raise InvalidConfigError("arrival", f"shape must be a positive number, got {self.shape!r}")
 
     @property
     def mean_interarrival(self) -> float:
@@ -126,11 +126,14 @@ class SimConfig:
             )
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise InvalidConfigError("seed", "an explicit integer seed is required for reproducibility")
-        if not self.reconfig_latency >= 0:
+        if not _is_number(self.reconfig_latency) or not self.reconfig_latency >= 0:
             raise InvalidConfigError("reconfig_latency",
-                                     f"must be non-negative, got {self.reconfig_latency!r}")
-        if not self.link_capacity_mbps > self.unit.rate_set.rates[0]:
-            raise InvalidConfigError("fha_capacity_mbps", "must exceed the lowest rate")
+                                     f"must be a non-negative number, got {self.reconfig_latency!r}")
+        if (not _is_number(self.link_capacity_mbps)
+                or not self.link_capacity_mbps > self.unit.rate_set.rates[0]):
+            raise InvalidConfigError("fha_capacity_mbps",
+                                     f"must be a number above the lowest rate, "
+                                     f"got {self.link_capacity_mbps!r}")
         self.arrival  # the arrival process checks the shape now, not at run time
 
     @property

@@ -1,13 +1,19 @@
-"""The enumerated blocking decomposition, the oracle for the load-grid solve.
+"""Slower oracles for the load-grid solve.
 
 `vrfplan.aggregator.blocking` judges every flow by an integer comparison
-of loads on the rate set's grid. This oracle lists the feasible states
-instead (`enumerate_states`), weights them by the product form, and
+of loads on the rate set's grid. `enumerated_blocking` lists the feasible
+states instead (`enumerate_states`), weights them by the product form, and
 judges each flow against the link in Mbit/s with a float slack, as the
 library did before the grid became its only path.
+
+`sequential_log_powers` builds the powers of one unit's polynomial that
+`vrfplan.aggregator._log_powers` builds by blocks of units, one unit at a
+time.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -62,3 +68,20 @@ def enumerated_blocking(
         blocked_flow=float(sum(blocked_parts)),
         convention=binomial_n,
     )
+
+
+def sequential_log_powers(log_w: np.ndarray, steps: tuple[int, ...], gmax: int,
+                          nb: int) -> tuple[np.ndarray, np.ndarray]:
+    """Log coefficients of f^(nb-1) and f^nb up to x^gmax, where
+    f(x) = 1 + sum_l w_l x^(s_l): nb multiplications by f, each one
+    log-sum-exp over the unit's M + 1 states."""
+    g = np.full(gmax + 1, -math.inf)
+    g[0] = 0.0
+    terms = np.full((len(steps) + 1, gmax + 1), -math.inf)
+    prev = g
+    for _ in range(nb):
+        terms[0] = g
+        for row, (lw, s) in enumerate(zip(log_w, steps), start=1):
+            terms[row, s:] = g[:max(gmax + 1 - s, 0)] + lw
+        prev, g = g, np.logaddexp.reduce(terms, axis=0)
+    return prev, g

@@ -1,6 +1,7 @@
 """Cluster model: state enumeration, product-form law, reversibility,
 and the blocking decomposition."""
 
+import dataclasses
 import gc
 import itertools
 import math
@@ -85,6 +86,12 @@ def test_cluster_size_rejects_bool():
     with pytest.raises(InvalidParameterError, match="cluster_size"):
         AggregatorSpec(cluster_size=True, rate_set=spec.rate_set,
                        link_capacity_mbps=spec.link_capacity_mbps, rates=spec.rates)
+
+
+@pytest.mark.parametrize("value", ["1e4", None, b"600"])
+def test_link_capacity_rejects_non_numbers(value):
+    with pytest.raises(InvalidParameterError, match="link capacity"):
+        dataclasses.replace(toy_spec(), link_capacity_mbps=value)
 
 
 def test_toy_lattice_has_sixteen_states():

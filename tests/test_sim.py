@@ -203,6 +203,27 @@ def test_sim_config_rejects_bool_cluster_size():
         sim.SimConfig(**{**good.__dict__, "cluster_size": True})
 
 
+@pytest.mark.parametrize("field, value, name", [
+    ("link_capacity_mbps", "1e4", "fha_capacity_mbps"),
+    ("link_capacity_mbps", None, "fha_capacity_mbps"),
+    ("reconfig_latency", "0.5", "reconfig_latency"),
+    ("reconfig_latency", [0.5], "reconfig_latency"),
+    ("shape", "1.5", "arrival"),
+    ("shape", True, "arrival"),
+])
+def test_sim_config_rejects_non_numbers(field, value, name):
+    planning = config_from_dict({"a": 0.25, "n_d": 2, "cluster_size": 10})
+    good = SimConfig.from_planning(planning, 200_000, 1)
+    with pytest.raises(InvalidConfigError, match=name):
+        dataclasses.replace(good, **{field: value})
+
+
+@pytest.mark.parametrize("field, value", [("rate", "2"), ("rate", None), ("shape", "0.9")])
+def test_arrival_rejects_non_numbers(field, value):
+    with pytest.raises(InvalidConfigError, match="arrival"):
+        dataclasses.replace(ArrivalProcess(rate=2.0, shape=0.9), **{field: value})
+
+
 # ---------------------------------------------------------------------------
 # counters and reproducibility
 
