@@ -12,7 +12,7 @@ is an integer on a grid that ends at the rate set's grid limit. Blocking
 and the state count are convolutions over that grid, and no state is
 listed. The enumerated state space (`enumerate_states`, `product_form`,
 `build_generator`, `detailed_balance_check`) is the oracle for that path;
-only `vrfplan validate` and the tests use it.
+only the suites of `vrfplan.oracle` and the tests use it.
 """
 
 from __future__ import annotations
@@ -211,6 +211,22 @@ def transition_rate(
     return 0.0
 
 
+def _upward_moves(spec: AggregatorSpec, space: StateSpace):
+    """Each pair of feasible states one wake-up or one upgrade apart, as
+    (i, j, rate i -> j, rate j -> i) with j the state above i."""
+    index = {k: i for i, k in enumerate(space.vectors)}
+    for i, k in enumerate(space.vectors):
+        for level in range(len(k)):
+            dst = list(k)
+            dst[level] += 1
+            if level:
+                dst[level - 1] -= 1
+            j = index.get(tuple(dst))
+            if j is not None:
+                dst = space.vectors[j]
+                yield i, j, transition_rate(k, dst, spec), transition_rate(dst, k, spec)
+
+
 def build_generator(spec: AggregatorSpec, space: StateSpace | None = None) -> np.ndarray:
     """Dense rate matrix over the feasible states, for direct solving.
 
@@ -224,34 +240,11 @@ def build_generator(spec: AggregatorSpec, space: StateSpace | None = None) -> np
         raise CapacityError(
             f"dense generator for {n} states exceeds the {_GENERATOR_STATE_CAP}-state cap"
         )
-    index = {k: i for i, k in enumerate(space.vectors)}
-    m = spec.rate_set.count
     q = np.zeros((n, n))
-    for i, k in enumerate(space.vectors):
-        neighbors = []
-        up = list(k)
-        up[0] += 1
-        neighbors.append(tuple(up))
-        down = list(k)
-        down[0] -= 1
-        neighbors.append(tuple(down))
-        for level in range(m - 1):
-            shift = list(k)
-            shift[level] -= 1
-            shift[level + 1] += 1
-            neighbors.append(tuple(shift))
-            shift = list(k)
-            shift[level] += 1
-            shift[level + 1] -= 1
-            neighbors.append(tuple(shift))
-        for dst in neighbors:
-            j = index.get(dst)
-            if j is None:
-                continue
-            rate = transition_rate(k, dst, spec)
-            if rate > 0.0:
-                q[i, j] += rate
-                q[i, i] -= rate
+    for i, j, up, down in _upward_moves(spec, space):
+        q[i, j] = up
+        q[j, i] = down
+    np.fill_diagonal(q, -q.sum(axis=1))
     return q
 
 
@@ -458,27 +451,8 @@ def detailed_balance_check(
     if space is None:
         space = enumerate_states(spec)
     probs = product_form(spec, binomial_n, space)
-    index = {k: i for i, k in enumerate(space.vectors)}
-    m = spec.rate_set.count
-    worst = 0.0
-    for i, k in enumerate(space.vectors):
-        neighbors = []
-        up = list(k)
-        up[0] += 1
-        neighbors.append(tuple(up))
-        for level in range(m - 1):
-            shift = list(k)
-            shift[level] -= 1
-            shift[level + 1] += 1
-            neighbors.append(tuple(shift))
-        for dst in neighbors:
-            j = index.get(dst)
-            if j is None:
-                continue
-            forward = probs[i] * transition_rate(k, dst, spec)
-            backward = probs[j] * transition_rate(dst, k, spec)
-            worst = max(worst, abs(forward - backward))
-    return worst
+    return max((abs(probs[i] * up - probs[j] * down)
+                for i, j, up, down in _upward_moves(spec, space)), default=0.0)
 
 
 def spec_from_planning(planning: PlanningConfig) -> AggregatorSpec:

@@ -5,7 +5,7 @@ Verbs:
   analyze   print the analytic blocking report for one configuration
   simulate  run one simulation replication and print its statistics
   sweep     evaluate a grid of configurations, writing one CSV row each
-  validate  run the internal oracle suites and report pass/fail
+  validate  run the oracle suites of `vrfplan.oracle` and report pass/fail
 
 Apply --help to any verb for its flags.
 
@@ -25,16 +25,11 @@ import os
 import sys
 import time
 
-import numpy as np
-
-from . import aggregator, ctmc, rru, sim
+from . import aggregator, sim
 from .config import (
     DEFAULT_LINK_CAPACITY_MBPS,
     DEFAULT_SERVICE_RATE,
     PlanningConfig,
-    RateSet,
-    ThresholdPolicy,
-    TrafficSpec,
     config_from_dict,
     load_config,
 )
@@ -296,7 +291,10 @@ def _sweep_point(point: dict) -> dict:
 def cmd_sweep(args: argparse.Namespace) -> int:
     plan = _load_plan(args.plan, args.events, args.seed)
     points = _plan_points(plan)
-    log.info("sweep: %d grid points, mode %s, jobs %d", len(points), plan["mode"], args.jobs)
+    # the executor may start every worker at once, so ask for no more
+    # than there are points and cores
+    workers = min(args.jobs, len(points), os.cpu_count() or 1)
+    log.info("sweep: %d grid points, mode %s, jobs %d", len(points), plan["mode"], workers)
     out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8", newline="")
     failed = False
 
@@ -308,13 +306,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     try:
         out.write(_csv_line(CSV_COLUMNS))
-        if args.jobs <= 1:
+        if workers <= 1:
             for point in points:
                 emit(_sweep_point(point))
         else:
             # map yields rows in canonical order, each once it and every
             # earlier row are done
-            with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
                 for row in pool.map(_sweep_point, points):
                     emit(row)
     finally:
@@ -326,115 +324,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # validate
 
-_TABLE_CAPACITIES = (3, 6, 12, 25, 37, 50)
-
-
-def _random_chain_spec(rng: np.random.Generator) -> rru.RruChainSpec:
-    """Random ladder over the standard capacity table, any gap 1..4."""
-    while True:
-        m = int(rng.integers(2, 5))
-        caps = sorted(rng.choice(_TABLE_CAPACITIES, size=m, replace=False).tolist())
-        gap = int(rng.integers(1, 5))
-        forward = tuple(int(c) for c in caps[:-1])
-        reverse = tuple(f - gap for f in forward)
-        if reverse[0] < 1:
-            continue
-        if any(reverse[i] <= forward[i - 1] for i in range(1, m - 1)):
-            continue
-        rho = float(rng.uniform(0.1, 40.0))
-        a = rho / caps[-1]
-        if not 0.0 < a < 1.0:
-            continue
-        rates = tuple(76.8 * c / caps[0] for c in caps)
-        try:
-            return rru.RruChainSpec(
-                rate_set=RateSet(rates=rates, capacities=tuple(int(c) for c in caps)),
-                thresholds=ThresholdPolicy(forward=forward, reverse=reverse),
-                traffic=TrafficSpec(a=a, mu=DEFAULT_SERVICE_RATE),
-            )
-        except VrfError:
-            continue
-
-
-def _suite_coefficients(rng: np.random.Generator, count: int = 50) -> dict:
-    worst = 0.0
-    for _ in range(count):
-        spec = _random_chain_spec(rng)
-        for level in range(1, spec.level_count + 1):
-            closed = rru.partition_coefficients(spec, level)
-            oracle = np.exp(rru._oracle_log_coefficients(spec, level))
-            oracle *= closed[0] / oracle[0]
-            err = float(np.max(np.abs(closed / oracle - 1.0)))
-            worst = max(worst, err)
-    return {"name": "closed-form coefficients vs chain oracle",
-            "specs": count, "max_rel_err": worst, "tolerance": 1e-9,
-            "status": "pass" if worst < 1e-9 else "fail"}
-
-
-def _suite_product_form(rng: np.random.Generator, count: int = 25) -> dict:
-    worst_pi = 0.0
-    worst_db = 0.0
-    checked = 0
-    for _ in range(count):
-        chain = _random_chain_spec(rng)
-        if chain.level_count > 3:
-            continue
-        checked += 1
-        n = int(rng.integers(1, 7))
-        link = float(rng.uniform(1.2, float(n) + 0.5)) * chain.rate_set.rates[-1]
-        rates = rru.transition_rates(chain)
-        spec = aggregator.AggregatorSpec(cluster_size=n, rate_set=chain.rate_set,
-                                         link_capacity_mbps=link, rates=rates)
-        space = aggregator.enumerate_states(spec)
-        pf = aggregator.product_form(spec, binomial_n="true", space=space)
-        direct = ctmc.steady_state(aggregator.build_generator(spec, space=space))
-        worst_pi = max(worst_pi, float(np.max(np.abs(pf - direct))))
-        worst_db = max(worst_db, aggregator.detailed_balance_check(spec, binomial_n="true"))
-    # negative control: a saturated cluster checked under the capped binomial
-    # convention must show a visible imbalance, proving the checker is not
-    # vacuously zero; fixed spec keeps the control mass away from boundaries
-    control = rru.RruChainSpec(
-        rate_set=RateSet(rates=(76.8, 153.6), capacities=(3, 6)),
-        thresholds=ThresholdPolicy(forward=(3,), reverse=(2,)),
-        traffic=TrafficSpec(a=0.5, mu=0.5),
-    )
-    tight = aggregator.AggregatorSpec(
-        cluster_size=4, rate_set=control.rate_set,
-        link_capacity_mbps=2.5 * control.rate_set.rates[0],
-        rates=rru.transition_rates(control))
-    negative_ok = bool(aggregator.detailed_balance_check(tight, binomial_n="effective") > 1e-3)
-    ok = worst_pi < 1e-8 and worst_db < 1e-10 and negative_ok
-    return {"name": "product form vs direct solve", "specs": checked,
-            "max_abs_err": worst_pi, "max_balance_residual": worst_db,
-            "negative_control": negative_ok,
-            "status": "pass" if ok else "fail"}
-
-
-def _suite_sim_agreement() -> dict:
-    points = [(0.3, 3, 16), (0.25, 3, 17), (0.2, 1, 9)]
-    results = []
-    ok = True
-    for a, n_d, n in points:
-        planning = config_from_dict({"a": a, "n_d": n_d, "cluster_size": n})
-        report = aggregator.blocking_for_planning(planning, binomial_n="true")
-        seed = _coordinate_seed(0, a, n_d, 1, "poisson", n, 200_000)
-        stats = sim.run(sim.SimConfig.from_planning(planning, 200_000, seed))
-        point_ok = _agree_flag(report.total, stats.estimate_fha_flow, stats.stderr)
-        ok = ok and point_ok
-        results.append({"a": a, "n_d": n_d, "n": n, "analytic": report.total,
-                        "simulated": stats.estimate_fha_flow,
-                        "stderr": stats.stderr, "agree": point_ok})
-    return {"name": "analytic vs simulation spot grid", "points": results,
-            "status": "pass" if ok else "fail"}
-
-
 def cmd_validate(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(20240817)
-    suites = [
-        _suite_coefficients(rng),
-        _suite_product_form(rng),
-        _suite_sim_agreement(),
-    ]
+    # imported here: only this verb runs the slow exact checks
+    from . import oracle
+
+    suites = oracle.run_suites()
     overall = all(s["status"] == "pass" for s in suites)
     summary = {"status": "pass" if overall else "fail", "suites": suites}
     text = json.dumps(summary, indent=2, default=float)

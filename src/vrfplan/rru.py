@@ -4,8 +4,8 @@ A unit serves up to its rate set's `server_count` simultaneous calls and
 steps its transport rate up at forward thresholds and down at reverse
 thresholds. This module computes each rate level's occupancy
 coefficients and the level-transition rates that drive the
-cluster-level model, and builds the unit's full (users, level) chain as
-their oracle.
+cluster-level model. The unit's full (users, level) chain, their oracle,
+lives in `vrfplan.oracle`.
 
 Coefficients are evaluated in log space on one path: a closed form up to
 each level's reverse threshold, and above it a cut recurrence that adds
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ctmc
 from ._logspace import log_factorials, logsumexp
 from .config import PlanningConfig, RateSet, ThresholdPolicy, TrafficSpec
 from .errors import InvalidConfigError, InvalidParameterError
@@ -101,28 +100,6 @@ class RruChainSpec:
 
 
 @dataclass(frozen=True)
-class GlobalRruChain:
-    """The full (users, level) chain of one unit, with its rate matrix."""
-
-    spec: RruChainSpec
-    states: tuple[tuple[int, int], ...]
-    q: np.ndarray
-
-    def index_of(self, users: int, level: int) -> int:
-        return self.states.index((users, level))
-
-    def partition_indices(self, level: int) -> tuple[int, ...]:
-        """Global state indices of `level`'s partition, ascending in users."""
-        wanted = set(self.spec.user_range(level))
-        if level == 1:
-            return tuple(
-                i for i, (u, s) in enumerate(self.states)
-                if (s == 1 and u in wanted) or (u, s) == (0, 0)
-            )
-        return tuple(i for i, (u, s) in enumerate(self.states) if s == level and u in wanted)
-
-
-@dataclass(frozen=True)
 class RruRates:
     """Level-transition rates of one unit: `up[l]` drives level l -> l+1
     (with up[0] the wake-up rate out of the off state), `down[l-1]` drives
@@ -142,44 +119,6 @@ class RruRates:
     @property
     def level_count(self) -> int:
         return len(self.up)
-
-
-def build_global_chain(spec: RruChainSpec) -> GlobalRruChain:
-    """Assemble the unit's full (users, level) rate matrix.
-
-    Arrivals add one user and cross to the next level exactly at the
-    forward threshold; departures remove one user at rate users*mu and
-    cross down exactly at the reverse threshold.
-    """
-    lam, mu = spec.lam, spec.traffic.mu
-    states: list[tuple[int, int]] = [(0, 0)]
-    for level in range(1, spec.level_count + 1):
-        lo = max(spec.user_range(level).start, 1)
-        for users in range(lo, spec.forward_at(level) + 1):
-            states.append((users, level))
-    index = {st: i for i, st in enumerate(states)}
-    n = len(states)
-    q = np.zeros((n, n))
-
-    def add(src: tuple[int, int], dst: tuple[int, int], rate: float) -> None:
-        i, j = index[src], index[dst]
-        q[i, j] += rate
-        q[i, i] -= rate
-
-    add((0, 0), (1, 1), lam)
-    for users, level in states[1:]:
-        if users < spec.forward_at(level):
-            add((users, level), (users + 1, level), lam)
-        elif level < spec.level_count:
-            add((users, level), (users + 1, level + 1), lam)
-        rate = users * mu
-        if users == 1 and level == 1:
-            add((users, level), (0, 0), rate)
-        elif level >= 2 and users - 1 == spec.reverse_before(level):
-            add((users, level), (users - 1, level - 1), rate)
-        else:
-            add((users, level), (users - 1, level), rate)
-    return GlobalRruChain(spec=spec, states=tuple(states), q=q)
 
 
 def _log_interior(users: np.ndarray, base: int, gateway: int, log_rho: float,
@@ -227,19 +166,6 @@ def _log_coefficients(spec: RruChainSpec, level: int) -> np.ndarray:
     return np.concatenate([lt, lt[-1] + lq[1:] - lq[0]])
 
 
-def _oracle_log_coefficients(spec: RruChainSpec, level: int) -> np.ndarray:
-    """The test oracle: conditional distribution of the level's partition
-    from the full chain's steady state, expressed as log coefficients."""
-    chain = build_global_chain(spec)
-    part_idx = chain.partition_indices(level)
-    pi = ctmc.steady_state(chain.q)
-    cond = pi[list(part_idx)]
-    cond = cond / cond.sum()
-    with np.errstate(divide="ignore"):
-        lc = np.log(cond)
-    return lc - lc[0]
-
-
 def partition_coefficients(spec: RruChainSpec, level: int) -> np.ndarray:
     """Per-level coefficients C_i over the level's user range.
 
@@ -273,12 +199,3 @@ def transition_rates(spec: RruChainSpec) -> RruRates:
             up.append(lam * math.exp(lc[-1] - norm))
     return RruRates(up=tuple(up), down=tuple(down))
 
-
-def rate_level_distribution(rates: RruRates) -> np.ndarray:
-    """Stationary distribution over {off, level 1..M} of the birth-death
-    chain driven by the level-transition rates."""
-    lw = np.zeros(rates.level_count + 1)
-    for level in range(1, rates.level_count + 1):
-        lw[level] = lw[level - 1] + math.log(rates.up[level - 1]) - math.log(rates.down[level - 1])
-    probs = np.exp(lw - logsumexp(lw))
-    return probs / probs.sum()

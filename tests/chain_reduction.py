@@ -3,7 +3,7 @@
 Uniformization, censoring onto a block of states (stochastic complement)
 and the single-entry fold-back give a unit's conditional in-band
 distribution from its full chain with no closed form at all. Only tests
-use them, so they are kept out of the package; they reuse `vrfplan.ctmc`'s
+use them, so they are kept out of the package; they reuse `vrfplan.oracle`'s
 GTH elimination and input checks.
 """
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vrfplan.ctmc import (
+from vrfplan.oracle import (
     RESIDUAL_TOL,
     _ROW_SUM_TOL,
     _assert_irreducible,

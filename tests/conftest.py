@@ -1,6 +1,12 @@
 """Echoes the one-line acceptance check results after the run."""
 
+import sys
+
 import pytest
+
+# a tested checkout keeps no bytecode under src/, so that the package's
+# start-up time reads the same there as on a fresh checkout
+sys.dont_write_bytecode = True
 
 _RECORDED: list[str] = []
 

@@ -27,11 +27,12 @@ import time
 
 import numpy as np
 
-from vrfplan import SimConfig, aggregator, config_from_dict, ctmc, rru, sim
-from vrfplan.cli import _coordinate_seed, _random_chain_spec
+from vrfplan import SimConfig, aggregator, config_from_dict, oracle, rru, sim
+from vrfplan.cli import _coordinate_seed
+from vrfplan.oracle import _random_chain_spec
 
 from chain_reduction import band_ratio_oracle
-from util import engset_marginal, erlang_b, mk_chain
+from util import engset_marginal, erlang_b, mk_chain, rate_level_distribution
 
 EVENTS = 1_000_000
 
@@ -102,12 +103,12 @@ def test_level_coefficients_match_reduction_oracle(record_check):
     bands = {"fold": 0, "censor": 0}
     for _ in range(50):
         spec = _random_chain_spec(rng)
-        chain = rru.build_global_chain(spec)
+        chain = oracle.build_global_chain(spec)
         for level in range(1, spec.level_count + 1):
             closed = rru.partition_coefficients(spec, level)
-            oracle, method = band_ratio_oracle(chain, level)
+            ratios, method = band_ratio_oracle(chain, level)
             bands[method] += 1
-            worst = max(worst, float(np.max(np.abs(closed / oracle - 1.0))))
+            worst = max(worst, float(np.max(np.abs(closed / ratios - 1.0))))
     el = time.perf_counter() - t0
     passed = worst < 1e-9 and el < 60.0
     _line(record_check, 1, passed,
@@ -137,7 +138,7 @@ def test_cluster_product_form_matches_direct_solve(record_check):
             rates=rru.transition_rates(chain))
         space = aggregator.enumerate_states(spec)
         pf = aggregator.product_form(spec, binomial_n="true", space=space)
-        direct = ctmc.steady_state(aggregator.build_generator(spec, space=space))
+        direct = oracle.steady_state(aggregator.build_generator(spec, space=space))
         worst_pi = max(worst_pi, float(np.max(np.abs(pf - direct))))
         worst_db = max(worst_db,
                        aggregator.detailed_balance_check(spec, binomial_n="true",
@@ -375,7 +376,7 @@ def test_single_level_reduces_to_textbook_forms(record_check):
         spec = aggregator.spec_from_planning(planning)
         space = aggregator.enumerate_states(spec)
         probs = aggregator.product_form(spec, binomial_n="true", space=space)
-        p_off = rru.rate_level_distribution(spec.rates)[0]
+        p_off = rate_level_distribution(spec.rates)[0]
         expect = engset_marginal(n, (1.0 - p_off) / p_off, len(space) - 1)
         worst_en = max(worst_en, float(np.max(np.abs(probs - expect))))
     el = time.perf_counter() - t0

@@ -22,7 +22,7 @@ from vrfplan import (
     count_states,
     spec_from_planning,
 )
-from vrfplan import aggregator, ctmc, rru
+from vrfplan import aggregator, oracle, rru
 from vrfplan.aggregator import (
     build_generator,
     detailed_balance_check,
@@ -32,7 +32,7 @@ from vrfplan.aggregator import (
 )
 
 from enumerated_oracle import enumerated_blocking
-from util import engset_marginal, mk_chain
+from util import engset_marginal, mk_chain, rate_level_distribution
 
 
 def toy_spec(n=6, bc=600.0, lam=1.5, mu=0.5):
@@ -167,7 +167,7 @@ def test_product_form_matches_direct_solve():
     spec = toy_spec()
     space = enumerate_states(spec)
     pf = product_form(spec, binomial_n="true", space=space)
-    direct = ctmc.steady_state(build_generator(spec, space=space))
+    direct = oracle.steady_state(build_generator(spec, space=space))
     assert np.abs(pf - direct).max() < 1e-10
 
 
@@ -183,7 +183,7 @@ def test_product_form_matches_direct_solve_three_levels():
                               rates=rru.transition_rates(chain))
         space = enumerate_states(spec)
         pf = product_form(spec, binomial_n="true", space=space)
-        direct = ctmc.steady_state(build_generator(spec, space=space))
+        direct = oracle.steady_state(build_generator(spec, space=space))
         assert np.abs(pf - direct).max() < 1e-8
         assert abs(pf.sum() - 1.0) < 1e-10
 
@@ -243,7 +243,7 @@ def test_blocking_positive_beyond_link_capacity():
 def test_blocking_matches_flow_count_on_direct_chain():
     spec = toy_spec(n=6, bc=350.0)
     space = enumerate_states(spec)
-    pi = ctmc.steady_state(build_generator(spec, space=space))
+    pi = oracle.steady_state(build_generator(spec, space=space))
     lam0, lam1 = spec.rates.up
     d1, d2 = spec.rate_set.rates
     offered = blocked = 0.0
@@ -298,7 +298,7 @@ def test_unconstrained_link_recovers_independent_units(monkeypatch):
         float((k_mat[:, 0] * probs).sum()) / n,
         float((k_mat[:, 1] * probs).sum()) / n,
     ]
-    levels = rru.rate_level_distribution(spec.rates)
+    levels = rate_level_distribution(spec.rates)
     assert np.abs(np.array(marginal) - levels).max() < 1e-9
     _no_enumeration(monkeypatch)
     for conv in ("effective", "true"):

@@ -1,9 +1,15 @@
-"""The public API: `vrfplan.__all__` is exactly what `__init__` imports."""
+"""The public API: `vrfplan.__all__` is exactly what `__init__` imports,
+and the exact checks live in `vrfplan.oracle` alone."""
 
 import ast
+import importlib
 from pathlib import Path
 
+import pytest
+
 import vrfplan
+import vrfplan.cli
+import vrfplan.oracle
 
 #: Names that left the public API: chain-reduction tools only the test
 #: oracles use (now in tests/chain_reduction.py), a sampler only tests
@@ -23,12 +29,11 @@ ORACLE_ONLY = (
     "StateSpace", "enumerate_states", "product_form", "build_generator",
     "detailed_balance_check", "transition_rate",
 )
-#: The unit's full chain, its solver and the per-level views that only
+#: The unit's full chain, its solver and the per-level view that only
 #: `vrfplan validate` and the tests use, reached through their modules.
 UNIT_ORACLES = {
-    "rru": ("GlobalRruChain", "build_global_chain", "partition_coefficients",
-            "rate_level_distribution"),
-    "ctmc": ("steady_state",),
+    "rru": ("partition_coefficients",),
+    "oracle": ("GlobalRruChain", "build_global_chain", "steady_state", "run_suites"),
 }
 
 
@@ -53,7 +58,7 @@ def test_all_equals_the_imported_names():
 def test_removed_names_stay_removed():
     for name in REMOVED:
         assert not hasattr(vrfplan, name), name
-        for module in (vrfplan.aggregator, vrfplan.config, vrfplan.ctmc, vrfplan.rru,
+        for module in (vrfplan.aggregator, vrfplan.config, vrfplan.oracle, vrfplan.rru,
                        vrfplan.sim):
             assert not hasattr(module, name), (module.__name__, name)
 
@@ -69,3 +74,14 @@ def test_unit_oracles_stay_in_their_modules():
         for name in names:
             assert name not in vrfplan.__all__ and not hasattr(vrfplan, name), name
             assert hasattr(getattr(vrfplan, module), name), (module, name)
+
+
+def test_oracle_is_the_only_home_of_the_exact_checks():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("vrfplan.ctmc")
+    for name in ("GlobalRruChain", "build_global_chain", "_oracle_log_coefficients",
+                 "rate_level_distribution"):
+        assert not hasattr(vrfplan.rru, name), name
+    for name in ("_TABLE_CAPACITIES", "_random_chain_spec", "_suite_coefficients",
+                 "_suite_product_form", "_suite_sim_agreement"):
+        assert not hasattr(vrfplan.cli, name), name

@@ -209,6 +209,42 @@ def test_sweep_rows_independent_of_worker_count(tmp_path, capsys):
            [strip_wall(r) for r in rows_of(parallel)]
 
 
+def test_sweep_asks_for_no_more_workers_than_points_and_cores(tmp_path, capsys, monkeypatch):
+    asked = []
+
+    class Pool:
+        """Stands in for the process pool: records the worker count it is
+        asked for and maps in this process, so no process starts."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Pool)
+    monkeypatch.setattr("os.cpu_count", lambda: 3)
+    two = write_plan(tmp_path, a=[0.25], n_d=[2], n=[15, 16])
+    serial, pooled = tmp_path / "s.csv", tmp_path / "p.csv"
+    assert main(["sweep", "--plan", two, "--out", str(serial)]) == 0
+    assert main(["sweep", "--plan", two, "--out", str(pooled), "--jobs", "4096"]) == 0
+    assert [strip_wall(r) for r in rows_of(serial)] == [strip_wall(r) for r in rows_of(pooled)]
+    five = write_plan(tmp_path, a=[0.25], n_d=[2], n=[12, 13, 14, 15, 16])
+    assert main(["sweep", "--plan", five, "--out", str(tmp_path / "f.csv"),
+                 "--jobs", "4096"]) == 0
+    # one point, or one job, runs in this process without a pool
+    assert main(["sweep", "--plan", write_plan(tmp_path, a=[0.25], n_d=[2], n=[16]),
+                 "--jobs", "4096"]) == 0
+    capsys.readouterr()
+    assert asked == [2, 3]
+
+
 def test_sweep_simulated_rows_have_agreement_flag(tmp_path, capsys):
     plan = write_plan(tmp_path, a=[0.25], n_d=[3], n=[16], mode="both",
                       events=120_000)
@@ -331,6 +367,7 @@ def test_log_level_env_controls_diagnostics(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "vrfplan.cli", "sweep", "--plan", plan],
         capture_output=True, text=True,
-        env={"VRF_LOG": "info", "PATH": "/usr/bin:/bin", "PYTHONPATH": source})
+        env={"VRF_LOG": "info", "PATH": "/usr/bin:/bin", "PYTHONPATH": source,
+             "PYTHONDONTWRITEBYTECODE": "1"})
     assert proc.returncode == 0
     assert "sweep: 1 grid points" in proc.stderr

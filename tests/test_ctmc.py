@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from vrfplan import InvalidParameterError, StructuralError
-from vrfplan.ctmc import steady_state
+from vrfplan.oracle import steady_state
 
 from chain_reduction import (
     Partition,
@@ -95,6 +95,39 @@ def test_steady_state_rejects_bad_input():
         steady_state(np.array([[-1.0, 0.5], [1.0, -1.0]]))  # rows must sum to 0
     with pytest.raises(StructuralError):
         steady_state(np.array([[-1.0, 1.0], [0.0, 0.0]]))   # absorbing state
+
+
+def test_steady_state_rejects_a_transient_top_state():
+    # GTH alone returns [0.5, 0.5, 0] here: only the reachability check
+    # sees that state 2 leaves state 0's class and never comes back
+    q = np.array([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.5, 0.0, -0.5]])
+    with pytest.raises(StructuralError, match="state 2 and state 0"):
+        steady_state(q)
+
+
+def test_reducible_culprit_is_the_first_state_outside_state_zeros_class():
+    # the culprit is the first state whose strong component differs from
+    # state 0's, as a strong-components labelling finds it
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    rng = np.random.default_rng(59)
+    reducible = 0
+    for _ in range(300):
+        n = int(rng.integers(2, 12))
+        q = rng.uniform(0.1, 1.0, size=(n, n)) * (rng.random((n, n)) < 0.25)
+        np.fill_diagonal(q, 0.0)
+        np.fill_diagonal(q, -q.sum(axis=1))
+        _, labels = connected_components(csr_matrix(q > 0.0), directed=True,
+                                         connection="strong")
+        outside = np.nonzero(labels != labels[0])[0]
+        if not len(outside):
+            continue
+        reducible += 1
+        with pytest.raises(StructuralError) as err:
+            steady_state(q)
+        assert f"state {outside[0]} and state 0" in str(err.value)
+    assert reducible > 100
 
 
 # ---------------------------------------------------------------------------

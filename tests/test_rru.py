@@ -7,14 +7,11 @@ import numpy as np
 import pytest
 
 from vrfplan import InvalidParameterError, VrfError, config_from_dict, transition_rates
-from vrfplan import ctmc, rru
-from vrfplan.rru import (
-    build_global_chain,
-    partition_coefficients,
-    rate_level_distribution,
-)
+from vrfplan import oracle, rru
+from vrfplan.oracle import build_global_chain
+from vrfplan.rru import partition_coefficients
 
-from util import erlang_b, mk_chain
+from util import erlang_b, mk_chain, rate_level_distribution
 
 
 def toy_chain(rho=1.5):
@@ -37,7 +34,7 @@ def conditional(spec, level):
 
 
 def global_partition_mass(chain, level):
-    pi = ctmc.steady_state(chain.q)
+    pi = oracle.steady_state(chain.q)
     return float(pi[list(chain.partition_indices(level))].sum())
 
 
@@ -52,7 +49,7 @@ def test_single_level_chain_is_loss_birth_death():
     for u in range(3):
         assert q[chain.index_of(u, 1 if u else 0), chain.index_of(u + 1, 1)] == pytest.approx(1.0)
         assert q[chain.index_of(u + 1, 1), chain.index_of(u, 1 if u else 0)] == pytest.approx(u + 1.0)
-    pi = ctmc.steady_state(q)
+    pi = oracle.steady_state(q)
     assert pi == pytest.approx(np.array([6, 6, 3, 1]) / 16.0, abs=1e-12)
 
 
@@ -110,7 +107,7 @@ def test_upper_level_base_coefficient_is_one():
 def test_coefficients_match_conditional_chain_ratios():
     spec = toy_chain(1.5)
     chain = build_global_chain(spec)
-    pi = ctmc.steady_state(chain.q)
+    pi = oracle.steady_state(chain.q)
     for level in (1, 2):
         idx = list(chain.partition_indices(level))
         ratios = pi[idx] / pi[idx[0]]
@@ -138,8 +135,8 @@ def test_closed_form_matches_chain_oracle_on_every_level():
     for key, spec in unit_grid():
         for level in range(1, spec.level_count + 1):
             closed = partition_coefficients(spec, level)
-            oracle = np.exp(rru._oracle_log_coefficients(spec, level))
-            assert closed == pytest.approx(oracle, rel=1e-12), key + (level,)
+            exact = np.exp(oracle._oracle_log_coefficients(spec, level))
+            assert closed == pytest.approx(exact, rel=1e-12), key + (level,)
         checked += 1
     # depths 1-4 admit gaps 1-5; depth 5, lowest capacity 3, gaps 1 and 2
     assert checked == len(GRID_LOADS) * (5 + 5 + 5 + 5 + 2)
@@ -192,7 +189,7 @@ def test_single_level_distribution_is_loss_occupancy():
 def test_upper_level_distribution_matches_global_conditional():
     spec = toy_chain(1.5)
     chain = build_global_chain(spec)
-    pi = ctmc.steady_state(chain.q)
+    pi = oracle.steady_state(chain.q)
     idx = list(chain.partition_indices(2))
     assert np.abs(conditional(spec, 2) - pi[idx] / pi[idx].sum()).max() < 1e-9
 
@@ -240,7 +237,7 @@ def test_single_level_rates_reproduce_idle_probability():
     spec = mk_chain((1228.8,), (50,), (), (), 5.0, 0.5)
     rates = transition_rates(spec)
     chain = build_global_chain(spec)
-    pi = ctmc.steady_state(chain.q)
+    pi = oracle.steady_state(chain.q)
     two_state_off = rates.down[0] / (rates.up[0] + rates.down[0])
     assert two_state_off == pytest.approx(float(pi[chain.index_of(0, 0)]), rel=1e-9)
     levels = rate_level_distribution(rates)
@@ -257,7 +254,7 @@ def test_level_marginal_matches_partition_masses():
     for spec in cases:
         chain = build_global_chain(spec)
         levels = rate_level_distribution(transition_rates(spec))
-        pi = ctmc.steady_state(chain.q)
+        pi = oracle.steady_state(chain.q)
         off = float(pi[chain.index_of(0, 0)])
         assert levels[0] == pytest.approx(off, abs=1e-9)
         for level in range(1, spec.level_count + 1):
@@ -280,7 +277,7 @@ def test_decomposition_reconstructs_global_distribution():
     ]
     for spec, tol in cases:
         chain = build_global_chain(spec)
-        pi = ctmc.steady_state(chain.q)
+        pi = oracle.steady_state(chain.q)
         levels = rate_level_distribution(transition_rates(spec))
         off = float(pi[chain.index_of(0, 0)])
         for level in range(1, spec.level_count + 1):
@@ -304,7 +301,7 @@ def test_decomposition_reconstructs_global_distribution():
 def chain_rates(spec):
     """transition_rates' definition read off the full chain's steady state."""
     chain = build_global_chain(spec)
-    pi = ctmc.steady_state(chain.q)
+    pi = oracle.steady_state(chain.q)
     lam, mu = spec.lam, spec.traffic.mu
     up, down = [lam], []
     for level in range(1, spec.level_count + 1):

@@ -21,7 +21,7 @@ from vrfplan import (
     transition_rates,
 )
 from vrfplan import sim
-from vrfplan.rru import build_global_chain
+from vrfplan.oracle import build_global_chain
 
 import reference_sim
 from util import TwoUnitExact, erlang_b, mk_chain, takacs_loss

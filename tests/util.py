@@ -13,7 +13,8 @@ import math
 import numpy as np
 
 from vrfplan import RateSet, RruChainSpec, ThresholdPolicy, TrafficSpec
-from vrfplan import ctmc
+from vrfplan import RruRates, oracle
+from vrfplan._logspace import logsumexp
 
 
 def erlang_b(rho: float, servers: int) -> float:
@@ -40,6 +41,16 @@ def engset_marginal(n: int, ratio: float, cap: int) -> np.ndarray:
     """Truncated binomial-form distribution C(n,k) ratio^k, k = 0..cap."""
     w = np.array([math.comb(n, k) * ratio**k for k in range(cap + 1)])
     return w / w.sum()
+
+
+def rate_level_distribution(rates: RruRates) -> np.ndarray:
+    """Stationary distribution over {off, level 1..M} of the birth-death
+    chain driven by the level-transition rates."""
+    lw = np.zeros(rates.level_count + 1)
+    for level in range(1, rates.level_count + 1):
+        lw[level] = lw[level - 1] + math.log(rates.up[level - 1]) - math.log(rates.down[level - 1])
+    probs = np.exp(lw - logsumexp(lw))
+    return probs / probs.sum()
 
 
 def mk_chain(rates, caps, forward, reverse, lam, mu) -> RruChainSpec:
@@ -73,7 +84,7 @@ class TwoUnitExact:
         self.joint = [s for s in itertools.product(self.unit_states, self.unit_states)
                       if self.load_of[s[0]] + self.load_of[s[1]] <= bc]
         self.idx = {s: i for i, s in enumerate(self.joint)}
-        self.pi = ctmc.steady_state(self._generator())
+        self.pi = oracle.steady_state(self._generator())
 
     def _arrival_target(self, me, other_load):
         u, level = me
