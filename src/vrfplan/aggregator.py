@@ -60,11 +60,6 @@ class AggregatorSpec:
             )
 
     @property
-    def lam(self) -> float:
-        """Per-unit wake-up arrival rate."""
-        return self.rates.up[0]
-
-    @property
     def grid_limit(self) -> int:
         """Largest load the link admits, in grid units of the rate set."""
         return self.rate_set.grid_limit(self.link_capacity_mbps, self.cluster_size)
@@ -182,38 +177,16 @@ def count_states(spec: AggregatorSpec) -> int:
     return int(counts.sum())
 
 
-def transition_rate(
-    k_from: tuple[int, ...], k_to: tuple[int, ...], spec: AggregatorSpec
-) -> float:
-    """Rate of the direct transition between two feasible states; zero for
-    non-adjacent pairs."""
-    m = spec.rate_set.count
-    if len(k_from) != m or len(k_to) != m:
-        raise InvalidParameterError(f"states must have {m} components")
-    diff = [b - a for a, b in zip(k_from, k_to)]
-    nonzero = [(i, d) for i, d in enumerate(diff) if d != 0]
-    if len(nonzero) == 1:
-        i, d = nonzero[0]
-        if i == 0 and d == 1:
-            # wake-up of one idle unit
-            return (spec.cluster_size - sum(k_from)) * spec.rates.up[0]
-        if i == 0 and d == -1:
-            return k_from[0] * spec.rates.down[0]
-        return 0.0
-    if len(nonzero) == 2:
-        (i, di), (j, dj) = nonzero
-        if j == i + 1 and di == -1 and dj == 1:
-            # one unit upgrades from level i+1 to level i+2 (1-based)
-            return k_from[i] * spec.rates.up[i + 1]
-        if j == i + 1 and di == 1 and dj == -1:
-            return k_from[j] * spec.rates.down[j]
-        return 0.0
-    return 0.0
-
-
 def _upward_moves(spec: AggregatorSpec, space: StateSpace):
     """Each pair of feasible states one wake-up or one upgrade apart, as
-    (i, j, rate i -> j, rate j -> i) with j the state above i."""
+    (i, j, rate i -> j, rate j -> i) with j the state above i.
+
+    The move into `level` (0-based) goes up at `movers * up[level]`, where
+    the movers are the idle units, N - sum(k), for a wake-up and the units
+    one level lower, k[level - 1], for an upgrade; it comes back down at
+    `dst[level] * down[level]`."""
+    n = spec.cluster_size
+    up, down = spec.rates.up, spec.rates.down
     index = {k: i for i, k in enumerate(space.vectors)}
     for i, k in enumerate(space.vectors):
         for level in range(len(k)):
@@ -221,10 +194,12 @@ def _upward_moves(spec: AggregatorSpec, space: StateSpace):
             dst[level] += 1
             if level:
                 dst[level - 1] -= 1
+                movers = k[level - 1]
+            else:
+                movers = n - sum(k)
             j = index.get(tuple(dst))
             if j is not None:
-                dst = space.vectors[j]
-                yield i, j, transition_rate(k, dst, spec), transition_rate(dst, k, spec)
+                yield i, j, movers * up[level], dst[level] * down[level]
 
 
 def build_generator(spec: AggregatorSpec, space: StateSpace | None = None) -> np.ndarray:

@@ -41,7 +41,7 @@ class ProfileRow:
     rate_mbps: float
     max_users: int
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("fft_size", "prb_count", "max_users"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
@@ -69,7 +69,8 @@ class CpriProfile:
         if not self.rows:
             raise InvalidConfigError("profile", "must contain at least one row")
         for row in self.rows:
-            row.validate()
+            if not isinstance(row, ProfileRow):
+                raise InvalidConfigError("profile", f"rows must be ProfileRow objects, got {row!r}")
         for prev, cur in zip(self.rows, self.rows[1:]):
             if not (cur.rate_mbps > prev.rate_mbps and cur.max_users > prev.max_users):
                 raise InvalidConfigError(

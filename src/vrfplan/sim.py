@@ -126,6 +126,9 @@ class SimConfig:
             )
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise InvalidConfigError("seed", "an explicit integer seed is required for reproducibility")
+        if not 0 <= self.seed < 2**128:
+            # the Philox key is a 128-bit unsigned integer
+            raise InvalidConfigError("seed", f"must lie in [0, 2**128), got {self.seed}")
         if not _is_number(self.reconfig_latency) or not self.reconfig_latency >= 0:
             raise InvalidConfigError("reconfig_latency",
                                      f"must be a non-negative number, got {self.reconfig_latency!r}")
@@ -203,9 +206,13 @@ def run(config: SimConfig) -> SimStats:
     segment's events with plain local counters, whose totals are appended
     as the batch's entry when the segment ends. Expiries of delayed
     downgrades are not counted as events and belong to the segment they
-    fall in. The load and flow integrals advance only when the occupancy
-    changes, which is when the load and the flow rates change, and once
-    more at each segment end.
+    fall in. Each event only decides its unit's level move: up one level
+    (an admitted upgrade or wake-up), down one (a downgrade, at once or
+    when its delay expires) or none. One block then makes the move: it
+    advances the load and flow integrals, moves the unit between the level
+    counts, recomputes the load and flow rates and checks the link
+    capacity. So the integrals advance only when the occupancy changes,
+    and once more at each segment end.
 
     Uniforms are drawn `_UNIFORM_BLOCK` at a time. Each block is
     transformed once, in numpy, into a list of inter-arrival times
@@ -302,6 +309,7 @@ def run(config: SimConfig) -> SimStats:
         c_int = f_num = f_den = 0.0
         while processed < end:
             t, _, kind, r, token = heap[0]
+            move = 0
 
             if kind == _ARRIVAL:
                 # schedule the unit's next arrival in place of this one
@@ -323,22 +331,7 @@ def run(config: SimConfig) -> SimStats:
                     if c_now + step_up[lv] > limit:
                         fha += 1
                         continue
-                    dt = t - t_mark
-                    c_int += c_now * dt
-                    f_num += num_rate * dt
-                    f_den += den_rate * dt
-                    t_mark = t
-                    at_level[lv] -= 1
-                    lv += 1
-                    at_level[lv] += 1
-                    level[r] = lv
-                    c_now, num_rate, den_rate = occupancy_rates()
-                    if c_now > c_max:
-                        c_max = c_now
-                        if c_max > limit:
-                            raise AssertionError(
-                                f"capacity violated: load {c_now} exceeds {limit} grid units"
-                            )
+                    move = 1
                 acc += 1
                 cur += 1
                 users[r] = cur
@@ -357,16 +350,7 @@ def run(config: SimConfig) -> SimStats:
                 lv = level[r]
                 if cur == reverse_prev[lv]:
                     if immediate:
-                        dt = t - t_mark
-                        c_int += c_now * dt
-                        f_num += num_rate * dt
-                        f_den += den_rate * dt
-                        t_mark = t
-                        at_level[lv] -= 1
-                        lv -= 1
-                        at_level[lv] += 1
-                        level[r] = lv
-                        c_now, num_rate, den_rate = occupancy_rates()
+                        move = -1
                     else:
                         pending[r] += 1
                         heappush(heap, (t + latency, seq, _EXPIRY, r, pending[r]))
@@ -374,26 +358,38 @@ def run(config: SimConfig) -> SimStats:
 
             else:
                 # delayed downgrade: only the newest request per unit survives,
-                # and only if the unit never climbed back above the threshold
+                # and only if the unit never climbed back above the threshold;
+                # a unit still at or below the next threshold down asks again
                 heappop(heap)
                 lv = level[r]
-                if token == pending[r] and lv >= 1 and users[r] <= reverse_prev[lv]:
-                    dt = t - t_mark
-                    c_int += c_now * dt
-                    f_num += num_rate * dt
-                    f_den += den_rate * dt
-                    t_mark = t
-                    at_level[lv] -= 1
-                    lv -= 1
-                    at_level[lv] += 1
-                    level[r] = lv
-                    c_now, num_rate, den_rate = occupancy_rates()
-                    if lv >= 1 and users[r] <= reverse_prev[lv]:
+                cur = users[r]
+                if token == pending[r] and lv >= 1 and cur <= reverse_prev[lv]:
+                    move = -1
+                    if lv >= 2 and cur <= reverse_prev[lv - 1]:
                         pending[r] += 1
                         heappush(heap, (t + latency, seq, _EXPIRY, r, pending[r]))
                         seq += 1
-                continue
 
+            if move:
+                dt = t - t_mark
+                c_int += c_now * dt
+                f_num += num_rate * dt
+                f_den += den_rate * dt
+                t_mark = t
+                at_level[lv] -= 1
+                lv += move
+                at_level[lv] += 1
+                level[r] = lv
+                c_now, num_rate, den_rate = occupancy_rates()
+                # only an upgrade can raise the load past c_max
+                if c_now > c_max:
+                    c_max = c_now
+                    if c_max > limit:
+                        raise AssertionError(
+                            f"capacity violated: load {c_now} exceeds {limit} grid units"
+                        )
+
+            # an expiry needs a latency, so it never reaches the band check
             if immediate and not band_low[lv] < cur <= forward[lv]:
                 raise AssertionError(
                     f"idle unit {r} holds {cur} calls" if lv == 0 else

@@ -28,7 +28,6 @@ from vrfplan.aggregator import (
     detailed_balance_check,
     enumerate_states,
     product_form,
-    transition_rate,
 )
 
 from enumerated_oracle import enumerated_blocking
@@ -127,12 +126,18 @@ def test_enumerated_states_respect_both_constraints():
 
 def test_transition_rate_examples():
     spec = toy_spec()
+    space = enumerate_states(spec)
+    q = build_generator(spec, space=space)
+
+    def rate(k_from, k_to):
+        return q[space.index_of(k_from), space.index_of(k_to)]
+
     lam1 = spec.rates.up[1]
     mu1 = spec.rates.down[0]
-    assert transition_rate((2, 1), (1, 2), spec) == pytest.approx(2 * lam1)
-    assert transition_rate((0, 0), (1, 0), spec) == pytest.approx(6 * spec.lam)
-    assert transition_rate((1, 0), (0, 0), spec) == pytest.approx(mu1)
-    assert transition_rate((2, 1), (2, 2), spec) == 0.0
+    assert rate((2, 1), (1, 2)) == pytest.approx(2 * lam1)
+    assert rate((0, 0), (1, 0)) == pytest.approx(6 * 1.5)      # N idle units at lambda
+    assert rate((1, 0), (0, 0)) == pytest.approx(mu1)
+    assert rate((2, 1), (2, 2)) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -213,16 +218,8 @@ def test_perturbed_service_rate_breaks_balance():
         link_capacity_mbps=spec.link_capacity_mbps,
         rates=rru.RruRates(up=spec.rates.up,
                            down=(spec.rates.down[0] * 1.01, spec.rates.down[1])))
-    worst = 0.0
-    index = {k: i for i, k in enumerate(space.vectors)}
-    for i, k in enumerate(space.vectors):
-        for j, k2 in enumerate(space.vectors):
-            fwd = probs[i] * transition_rate(k, k2, bumped)
-            back = probs[j] * transition_rate(k2, k, bumped)
-            if fwd or back:
-                worst = max(worst, abs(fwd - back))
-    assert worst > 1e-6
-    del index
+    flux = probs[:, None] * build_generator(bumped, space=space)
+    assert np.abs(flux - flux.T).max() > 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ and the exact checks live in `vrfplan.oracle` alone."""
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -15,19 +16,21 @@ import vrfplan.oracle
 #: oracles use (now in tests/chain_reduction.py), a sampler only tests
 #: called, a copy of the switching rules, the lowest-rate unit count
 #: the rate set's grid limit replaced, the per-level distribution the
-#: rates now read straight from the log coefficients, and the traffic
-#: builder whose lambda `RruChainSpec.lam` now derives from the rate set.
+#: rates now read straight from the log coefficients, the traffic
+#: builder whose lambda `RruChainSpec.lam` now derives from the rate set,
+#: and the cluster-chain pair classifier whose rates the generator's move
+#: walk now reads off each move.
 REMOVED = (
     "Partition", "uniformize", "stochastic_complement", "fold_back_conditional",
     "dtmc_steady_state", "sample_interarrival", "rate_after_arrival",
     "rate_after_departure", "max_rru", "PartitionDistribution", "partition_distribution",
-    "traffic_from_load",
+    "traffic_from_load", "transition_rate",
 )
 #: The enumerated cluster model: the oracle of the load-grid solve, which
 #: `vrfplan validate` and the tests reach through `vrfplan.aggregator`.
 ORACLE_ONLY = (
     "StateSpace", "enumerate_states", "product_form", "build_generator",
-    "detailed_balance_check", "transition_rate",
+    "detailed_balance_check",
 )
 #: The unit's full chain, its solver and the per-level view that only
 #: `vrfplan validate` and the tests use, reached through their modules.
@@ -85,3 +88,16 @@ def test_oracle_is_the_only_home_of_the_exact_checks():
     for name in ("_TABLE_CAPACITIES", "_random_chain_spec", "_suite_coefficients",
                  "_suite_product_form", "_suite_sim_agreement"):
         assert not hasattr(vrfplan.cli, name), name
+
+
+def test_benchmark_trace_targets_resolve():
+    # the benchmark's tracer wraps these by name; a name that moves or
+    # goes fails here, not in a traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+    spec = importlib.util.spec_from_file_location("layertrace", path)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    for module, attribute, _, _ in layertrace.WRAPPED:
+        assert callable(getattr(module, attribute, None)), (module.__name__, attribute)
+    for cls in layertrace.CONFIG_CLASSES:
+        assert "__post_init__" in vars(cls), cls.__name__

@@ -163,6 +163,16 @@ def test_simulate_rejects_nan_latency(tmp_path, capsys):
     assert "reconfig_latency" in captured.err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**128)])
+def test_simulate_rejects_a_seed_outside_the_philox_key_range(tmp_path, capsys, seed):
+    cfg = write_config(tmp_path, a=0.3, n_d=3, cluster_size=14)
+    assert main(["simulate", "--config", cfg, "--events", "100000", "--seed", seed]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: field 'seed'")
+    assert "Traceback" not in captured.err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

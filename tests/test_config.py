@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vrfplan import (
+    CpriProfile,
     InvalidConfigError,
     PlanningConfig,
+    ProfileRow,
     RateSet,
     RruChainSpec,
     ThresholdPolicy,
@@ -49,6 +51,18 @@ def test_profile_user_capacity_is_half_the_prbs():
         assert row.max_users == row.prb_count // 2
     by_prb = {row.prb_count: row.max_users for row in default_profile().rows}
     assert by_prb[75] == 37
+
+
+def test_profile_row_is_checked_when_built():
+    with pytest.raises(InvalidConfigError, match="profile.fft_size"):
+        ProfileRow(1.25, 0, 6, 76.8, 3)
+    with pytest.raises(InvalidConfigError, match="profile.max_users"):
+        ProfileRow(1.25, 128, 6, 76.8, 4)
+
+
+def test_profile_refuses_a_row_that_is_not_a_profile_row():
+    with pytest.raises(InvalidConfigError, match="ProfileRow"):
+        CpriProfile(rows=((1.25, 128, 6, 76.8, 3),))
 
 
 # ---------------------------------------------------------------------------
