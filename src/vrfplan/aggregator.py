@@ -18,12 +18,12 @@ only the suites of `vrfplan.oracle` and the tests use it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._logspace import log_factorials, logsumexp
-from .config import PlanningConfig, RateSet, _is_number
+from .config import PlanningConfig, RateSet, check_cluster
 from .errors import CapacityError, InvalidParameterError
 from .rru import RruChainSpec, RruRates, transition_rates
 
@@ -38,31 +38,24 @@ _CONVENTIONS = ("effective", "true")
 @dataclass(frozen=True)
 class AggregatorSpec:
     """Cluster description: size, selectable rates, link capacity, and the
-    per-unit level-transition rates driving upgrades and downgrades."""
+    per-unit level-transition rates driving upgrades and downgrades.
+    `grid_limit` is the largest load the link admits, in grid units of the
+    rate set."""
 
     cluster_size: int
     rate_set: RateSet
     link_capacity_mbps: float
     rates: RruRates
+    grid_limit: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if (not isinstance(self.cluster_size, int) or isinstance(self.cluster_size, bool)
-                or self.cluster_size < 1):
-            raise InvalidParameterError(f"cluster_size must be an integer >= 1, got {self.cluster_size!r}")
-        if (not _is_number(self.link_capacity_mbps)
-                or not self.link_capacity_mbps > self.rate_set.rates[0]):
-            raise InvalidParameterError(
-                f"link capacity must be a number above the lowest rate, got {self.link_capacity_mbps!r}")
+        object.__setattr__(self, "grid_limit",
+                           check_cluster(self.rate_set, self.cluster_size, self.link_capacity_mbps))
         if self.rates.level_count != self.rate_set.count:
             raise InvalidParameterError(
                 f"rate count mismatch: {self.rates.level_count} transition-rate levels "
                 f"vs {self.rate_set.count} rates"
             )
-
-    @property
-    def grid_limit(self) -> int:
-        """Largest load the link admits, in grid units of the rate set."""
-        return self.rate_set.grid_limit(self.link_capacity_mbps, self.cluster_size)
 
 
 @dataclass(frozen=True)
@@ -108,14 +101,14 @@ def _binomial_count(spec: AggregatorSpec, convention: str) -> int:
     return min(spec.cluster_size, spec.grid_limit // spec.rate_set.steps[0])
 
 
-def enumerate_states(spec: AggregatorSpec, state_cap: int = DEFAULT_STATE_CAP) -> StateSpace:
+def enumerate_states(spec: AggregatorSpec) -> StateSpace:
     """All occupancy vectors with total units <= N and load <= capacity,
     in lexicographic order."""
     vectors: list[tuple[int, ...]] = []
     loads: list[float] = []
     totals: list[int] = []
     load_limit = spec.link_capacity_mbps * (1.0 + 1e-12) + 1e-9
-    _walk(spec, state_cap, load_limit, (vectors, loads, totals), [], 0, 0.0)
+    _walk(spec, load_limit, (vectors, loads, totals), [], 0, 0.0)
     return StateSpace(
         vectors=tuple(vectors),
         loads=np.array(loads),
@@ -123,7 +116,7 @@ def enumerate_states(spec: AggregatorSpec, state_cap: int = DEFAULT_STATE_CAP) -
     )
 
 
-def _walk(spec: AggregatorSpec, state_cap: int, load_limit: float,
+def _walk(spec: AggregatorSpec, load_limit: float,
           out: tuple[list, list, list], prefix: list[int], used: int, load: float) -> None:
     """Append every feasible completion of `prefix` to the `out` lists.
 
@@ -137,9 +130,9 @@ def _walk(spec: AggregatorSpec, state_cap: int, load_limit: float,
         vectors.append(tuple(prefix))
         loads.append(load)
         totals.append(used)
-        if len(vectors) > state_cap:
+        if len(vectors) > DEFAULT_STATE_CAP:
             raise CapacityError(
-                f"state space exceeds {state_cap} states; reduce the cluster size, "
+                f"state space exceeds {DEFAULT_STATE_CAP} states; reduce the cluster size, "
                 f"rate count, or capacity"
             )
         return
@@ -152,7 +145,7 @@ def _walk(spec: AggregatorSpec, state_cap: int, load_limit: float,
         if new_load > load_limit:
             break
         prefix.append(k)
-        _walk(spec, state_cap, load_limit, out, prefix, used + k, new_load)
+        _walk(spec, load_limit, out, prefix, used + k, new_load)
         prefix.pop()
 
 
@@ -301,8 +294,7 @@ def blocking(spec: AggregatorSpec, binomial_n: str = "effective") -> BlockingRep
         flows[level, s:] = (log_fm1[:max(gmax + 1 - s, 0)] + math.log(nb) + log_w[level - 1]
                             + math.log(up[level]))
     log_offered = logsumexp(flows)
-    jumps = np.diff(steps, prepend=0)
-    past = np.arange(gmax + 1) + jumps[:, None] > gmax
+    past = np.arange(gmax + 1) + np.array(spec.rate_set.jumps)[:, None] > gmax
     log_blocked = logsumexp(np.where(past, flows, -math.inf), axis=1)
     per_rate = tuple(math.exp(b - log_offered) for b in log_blocked)
     log_z = logsumexp(log_f)

@@ -26,13 +26,7 @@ import sys
 import time
 
 from . import aggregator, sim
-from .config import (
-    DEFAULT_LINK_CAPACITY_MBPS,
-    DEFAULT_SERVICE_RATE,
-    PlanningConfig,
-    config_from_dict,
-    load_config,
-)
+from .config import PlanningConfig, _is_int, config_from_dict, load_config
 from .errors import VrfError
 
 log = logging.getLogger("vrfplan")
@@ -47,6 +41,8 @@ AGREE_SIGMA = 3.0
 #: Two estimates agree unconditionally when both blocking probabilities,
 #: or both of their complements, are below this.
 AGREE_FLOOR = 1e-4
+#: Events per replication, for `simulate --events` and a plan's `events`.
+DEFAULT_EVENTS = 1_000_000
 
 
 def _setup_logging() -> None:
@@ -203,12 +199,12 @@ _PLAN_DEFAULTS = {
     "gap": [1],
     "arrival": ["poisson"],
     "mode": "analytic",
-    "events": 1_000_000,
+    "events": DEFAULT_EVENTS,
     "base_seed": 0,
-    "mu": DEFAULT_SERVICE_RATE,
-    "fha_capacity_mbps": DEFAULT_LINK_CAPACITY_MBPS,
 }
-_PLAN_KEYS = {"a", "n_d", "n"} | set(_PLAN_DEFAULTS)
+#: Config keys a plan may set for every point; `config_from_dict` defaults them.
+_PLAN_CONFIG_KEYS = ("mu", "fha_capacity_mbps")
+_PLAN_KEYS = {"a", "n_d", "n", *_PLAN_CONFIG_KEYS} | set(_PLAN_DEFAULTS)
 
 
 def _load_plan(path: str, events: int | None = None, base_seed: int | None = None) -> dict:
@@ -239,7 +235,7 @@ def _load_plan(path: str, events: int | None = None, base_seed: int | None = Non
         if not isinstance(merged[key], list) or not merged[key]:
             raise VrfError(f"plan key {key!r} must be a non-empty list")
     for key in ("events", "base_seed"):
-        if not isinstance(merged[key], int) or isinstance(merged[key], bool):
+        if not _is_int(merged[key]):
             raise VrfError(f"plan key {key!r} must be an integer, got {merged[key]!r}")
     if merged["events"] < sim.MIN_EVENTS:
         raise VrfError(f"plan key 'events' must be at least {sim.MIN_EVENTS}, "
@@ -256,7 +252,7 @@ def _plan_points(plan: dict) -> list[dict]:
         shape = _parse_arrival(arrival)
         planning = config_from_dict({
             "a": a, "n_d": n_d, "threshold_gap": gap, "cluster_size": n,
-            "mu": plan["mu"], "fha_capacity_mbps": plan["fha_capacity_mbps"],
+            **{key: plan[key] for key in _PLAN_CONFIG_KEYS if key in plan},
         })
         points.append({
             "planning": planning, "arrival": arrival, "shape": shape,
@@ -358,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_si = sub.add_parser("simulate", help="run one simulation replication")
     p_si.add_argument("--config", required=True, help="JSON configuration file")
-    p_si.add_argument("--events", type=int, default=1_000_000)
+    p_si.add_argument("--events", type=int, default=DEFAULT_EVENTS)
     p_si.add_argument("--seed", type=int, required=True)
     p_si.add_argument("--arrival", default="poisson", help="poisson or weibull:K")
     p_si.add_argument("--gap", type=int, default=None, help="override threshold gap")

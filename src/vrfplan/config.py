@@ -25,6 +25,11 @@ _GRID_MAX_DENOMINATOR = 1000
 _GRID_SNAP_TOL = 1e-9
 
 
+def _is_int(value: object) -> bool:
+    """An int, not a bool (which is an int subclass)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_number(value: object) -> bool:
     """An int or float, not a bool (which is an int subclass)."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -44,7 +49,7 @@ class ProfileRow:
     def __post_init__(self) -> None:
         for name in ("fft_size", "prb_count", "max_users"):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
+            if not _is_int(value) or value <= 0:
                 raise InvalidConfigError(f"profile.{name}", f"must be a positive integer, got {value!r}")
         for name in ("bandwidth_mhz", "rate_mbps"):
             value = getattr(self, name)
@@ -118,8 +123,8 @@ class RateSet:
     def __post_init__(self) -> None:
         if not self.rates or len(self.rates) != len(self.capacities):
             raise InvalidConfigError("rate_set", "rates and capacities must be non-empty and equal-length")
-        if (any(not 0 < r < math.inf for r in self.rates)
-                or any(not isinstance(c, int) or isinstance(c, bool) or c <= 0 for c in self.capacities)):
+        if (any(not _is_number(r) or not 0 < r < math.inf for r in self.rates)
+                or any(not _is_int(c) or c <= 0 for c in self.capacities)):
             raise InvalidConfigError("rate_set",
                                      "rates must be positive and finite, capacities positive integers")
         if list(self.rates) != sorted(self.rates) or len(set(self.rates)) != len(self.rates):
@@ -140,6 +145,12 @@ class RateSet:
     def unit_mbps(self) -> float:
         """The grid unit; rate l is `steps[l]` of it."""
         return self.rates[0] / self.steps[0]
+
+    @property
+    def jumps(self) -> tuple[int, ...]:
+        """The load, in grid units, a move into each level adds: a wake-up
+        into level 1, then an upgrade into each level above."""
+        return (self.steps[0],) + tuple(b - a for a, b in zip(self.steps, self.steps[1:]))
 
     def grid_limit(self, link_capacity_mbps: float, cluster_size: int) -> int:
         """Largest load, in grid units, the link admits from `cluster_size`
@@ -178,7 +189,7 @@ def select_rates(profile: CpriProfile, n_d: int) -> RateSet:
     (e.g. 1228.8, 614.4, 307.2, ...), skipping any profile rows that are
     not on that chain. The result is returned ascending.
     """
-    if not isinstance(n_d, int) or isinstance(n_d, bool) or not 1 <= n_d <= len(profile.rows):
+    if not _is_int(n_d) or not 1 <= n_d <= len(profile.rows):
         raise InvalidConfigError("n_d", f"must be an integer in 1..{len(profile.rows)}, got {n_d!r}")
     selected: list[ProfileRow] = []
     target = profile.rows[-1].rate_mbps
@@ -216,10 +227,8 @@ class ThresholdPolicy:
         if len(self.forward) != len(self.reverse):
             raise InvalidConfigError("thresholds", "forward and reverse must have equal length")
         f, r = self.forward, self.reverse
-        if any(not isinstance(x, int) or isinstance(x, bool) or x < 1 for x in f + r):
+        if any(not _is_int(x) or x < 1 for x in f + r):
             raise InvalidConfigError("thresholds", "all thresholds must be integers >= 1")
-        if any(rl > fl for fl, rl in zip(f, r)):
-            raise InvalidConfigError("thresholds", "reverse thresholds must not exceed forward thresholds")
         if any(b <= a for a, b in zip(f, f[1:])) or any(b <= a for a, b in zip(r, r[1:])):
             raise InvalidConfigError("thresholds", "forward and reverse must each be strictly increasing")
         if any(fl - rl < 1 for fl, rl in zip(f, r)):
@@ -229,7 +238,7 @@ class ThresholdPolicy:
 def default_thresholds(rate_set: RateSet, gap: int) -> ThresholdPolicy:
     """Standard policy: switch up at each rate's full capacity, switch down
     ``gap`` calls below that."""
-    if not isinstance(gap, int) or isinstance(gap, bool) or gap < 1:
+    if not _is_int(gap) or gap < 1:
         raise InvalidConfigError("threshold_gap", f"must be an integer >= 1, got {gap!r}")
     steps = [b - a for a, b in zip(rate_set.capacities, rate_set.capacities[1:])]
     if steps and gap >= min(steps):
@@ -238,11 +247,12 @@ def default_thresholds(rate_set: RateSet, gap: int) -> ThresholdPolicy:
             f"must be smaller than the minimum capacity step {min(steps)}, got {gap}",
         )
     forward = rate_set.capacities[:-1]
+    # ascending, as the capacities are: only the first can fall below 1
     reverse = tuple(f - gap for f in forward)
-    if any(r < 1 for r in reverse) or any(b <= a for a, b in zip(reverse, reverse[1:])):
+    if reverse and reverse[0] < 1:
         raise InvalidConfigError(
             "threshold_gap",
-            f"gap {gap} drives a reverse threshold below 1 or out of order for capacities {rate_set.capacities}",
+            f"gap {gap} drives the first reverse threshold below 1 for capacities {rate_set.capacities}",
         )
     return ThresholdPolicy(forward=forward, reverse=reverse)
 
@@ -263,6 +273,19 @@ class TrafficSpec:
             raise InvalidConfigError("mu", f"must be a positive finite number, got {self.mu!r}")
 
 
+def check_cluster(rate_set: RateSet, cluster_size: int, link_capacity_mbps: float) -> int:
+    """Check a cluster's size N and link capacity C against its rate set and
+    return the link's grid limit. Every type that holds a cluster checks N
+    and C here and nowhere else."""
+    if not _is_int(cluster_size) or cluster_size < 1:
+        raise InvalidConfigError("cluster_size", f"must be an integer >= 1, got {cluster_size!r}")
+    lowest = rate_set.rates[0]
+    if not _is_number(link_capacity_mbps) or not link_capacity_mbps > lowest:
+        raise InvalidConfigError("fha_capacity_mbps", f"must be a number above the lowest rate "
+                                                      f"{lowest:g}, got {link_capacity_mbps!r}")
+    return rate_set.grid_limit(link_capacity_mbps, cluster_size)
+
+
 @dataclass(frozen=True)
 class PlanningConfig:
     """A fully validated planning scenario, ready for analysis or simulation."""
@@ -277,18 +300,8 @@ class PlanningConfig:
     thresholds: ThresholdPolicy = field(init=False)
 
     def __post_init__(self) -> None:
-        if (not isinstance(self.cluster_size, int) or isinstance(self.cluster_size, bool)
-                or self.cluster_size < 1):
-            raise InvalidConfigError("cluster_size", f"must be an integer >= 1, got {self.cluster_size!r}")
-        if not _is_number(self.link_capacity_mbps) or not self.link_capacity_mbps > 0:
-            raise InvalidConfigError("fha_capacity_mbps",
-                                     f"must be a positive number, got {self.link_capacity_mbps!r}")
         rate_set = select_rates(self.profile, self.n_d)
-        if self.link_capacity_mbps <= rate_set.rates[0]:
-            raise InvalidConfigError(
-                "fha_capacity_mbps",
-                f"must exceed the lowest selected rate {rate_set.rates[0]:g}",
-            )
+        check_cluster(rate_set, self.cluster_size, self.link_capacity_mbps)
         object.__setattr__(self, "rate_set", rate_set)
         object.__setattr__(self, "thresholds", default_thresholds(rate_set, self.threshold_gap))
 

@@ -36,11 +36,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import PlanningConfig, _is_number
+from .config import PlanningConfig, _is_int, _is_number, check_cluster
 from .errors import InvalidConfigError, InvalidParameterError
 from .rru import RruChainSpec, transition_rates
 
@@ -97,7 +97,7 @@ def reconfig_arrival_probability(rate: float, window: float, n: int) -> float:
         raise InvalidParameterError(
             f"rate and window must be positive and finite, with a product in "
             f"floating-point range, got {rate!r} and {window!r}")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+    if not _is_int(n) or n < 0:
         raise InvalidParameterError(f"n must be a non-negative integer, got {n!r}")
     return math.exp(n * math.log(x) - x - math.lgamma(n + 1))
 
@@ -106,7 +106,8 @@ def reconfig_arrival_probability(rate: float, window: float, n: int) -> float:
 class SimConfig:
     """Everything one replication needs; immutable and fully validated.
     Each unit's arrivals have the unit's rate lambda and the given
-    inter-arrival `shape` (1 is Poisson)."""
+    inter-arrival `shape` (1 is Poisson). `grid_limit` is the largest load
+    the link admits, in grid units of the unit's rate set."""
 
     unit: RruChainSpec
     cluster_size: int
@@ -115,16 +116,17 @@ class SimConfig:
     seed: int
     shape: float = 1.0
     reconfig_latency: float = 0.0
+    arrival: ArrivalProcess = field(init=False)
+    grid_limit: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if (not isinstance(self.cluster_size, int) or isinstance(self.cluster_size, bool)
-                or self.cluster_size < 1):
-            raise InvalidConfigError("cluster_size", f"must be an integer >= 1, got {self.cluster_size!r}")
-        if not isinstance(self.events, int) or self.events < MIN_EVENTS:
+        object.__setattr__(self, "grid_limit", check_cluster(self.unit.rate_set, self.cluster_size,
+                                                             self.link_capacity_mbps))
+        if not _is_int(self.events) or self.events < MIN_EVENTS:
             raise InvalidConfigError(
                 "events", f"must be an integer >= {MIN_EVENTS} for a reportable estimate"
             )
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+        if not _is_int(self.seed):
             raise InvalidConfigError("seed", "an explicit integer seed is required for reproducibility")
         if not 0 <= self.seed < 2**128:
             # the Philox key is a 128-bit unsigned integer
@@ -132,16 +134,7 @@ class SimConfig:
         if not _is_number(self.reconfig_latency) or not self.reconfig_latency >= 0:
             raise InvalidConfigError("reconfig_latency",
                                      f"must be a non-negative number, got {self.reconfig_latency!r}")
-        if (not _is_number(self.link_capacity_mbps)
-                or not self.link_capacity_mbps > self.unit.rate_set.rates[0]):
-            raise InvalidConfigError("fha_capacity_mbps",
-                                     f"must be a number above the lowest rate, "
-                                     f"got {self.link_capacity_mbps!r}")
-        self.arrival  # the arrival process checks the shape now, not at run time
-
-    @property
-    def arrival(self) -> ArrivalProcess:
-        return ArrivalProcess(rate=self.unit.lam, shape=self.shape)
+        object.__setattr__(self, "arrival", ArrivalProcess(rate=self.unit.lam, shape=self.shape))
 
     @classmethod
     def from_planning(cls, planning: PlanningConfig, events: int, seed: int,
@@ -227,7 +220,7 @@ def run(config: SimConfig) -> SimStats:
     m = rate_set.count
     # loads are integer counts of the rate set's grid unit
     steps = rate_set.steps
-    limit = rate_set.grid_limit(config.link_capacity_mbps, n)
+    limit = config.grid_limit
     big_k = rate_set.server_count
     mu = chain.traffic.mu
     latency = config.reconfig_latency
@@ -239,7 +232,7 @@ def run(config: SimConfig) -> SimStats:
     forward = [0] + [chain.forward_at(lv) for lv in range(1, m + 1)]
     reverse_prev = [0] + [chain.reverse_before(lv) for lv in range(1, m + 1)]
     # load an upgrade out of level l adds to the link
-    step_up = [steps[0]] + [steps[lv] - steps[lv - 1] for lv in range(1, m)]
+    step_up = rate_set.jumps
     # hysteresis band (band_low[l], forward[l]] of the user count at level l
     band_low = [-1] + reverse_prev[1:]
     # without a reconfiguration latency a unit steps down at the reverse

@@ -14,7 +14,7 @@ import pytest
 
 from vrfplan import (
     AggregatorSpec,
-    InvalidParameterError,
+    InvalidConfigError,
     RateSet,
     blocking,
     blocking_for_planning,
@@ -82,14 +82,14 @@ def test_grid_limit_admits_every_multiple_of_the_unit():
 
 def test_cluster_size_rejects_bool():
     spec = toy_spec()
-    with pytest.raises(InvalidParameterError, match="cluster_size"):
+    with pytest.raises(InvalidConfigError, match="cluster_size"):
         AggregatorSpec(cluster_size=True, rate_set=spec.rate_set,
                        link_capacity_mbps=spec.link_capacity_mbps, rates=spec.rates)
 
 
 @pytest.mark.parametrize("value", ["1e4", None, b"600"])
 def test_link_capacity_rejects_non_numbers(value):
-    with pytest.raises(InvalidParameterError, match="link capacity"):
+    with pytest.raises(InvalidConfigError, match="fha_capacity_mbps"):
         dataclasses.replace(toy_spec(), link_capacity_mbps=value)
 
 

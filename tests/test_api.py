@@ -101,3 +101,25 @@ def test_benchmark_trace_targets_resolve():
         assert callable(getattr(module, attribute, None)), (module.__name__, attribute)
     for cls in layertrace.CONFIG_CLASSES:
         assert "__post_init__" in vars(cls), cls.__name__
+
+
+def _unused_imports(path):
+    """Names `path` imports and never reads. A read in an annotation counts:
+    annotations are parsed though never evaluated."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", sorted(p for p in Path(vrfplan.__file__).parent.glob("*.py")
+                                        if p.name != "__init__.py"), ids=lambda p: p.name)
+def test_modules_import_only_what_they_use(path):
+    assert _unused_imports(path) == []

@@ -1,6 +1,7 @@
 """Configuration layer: profile table, rate selection, thresholds,
 traffic, and the JSON schema."""
 
+import dataclasses
 import json
 import math
 
@@ -14,6 +15,7 @@ from vrfplan import (
     ProfileRow,
     RateSet,
     RruChainSpec,
+    SimConfig,
     ThresholdPolicy,
     TrafficSpec,
     blocking_for_planning,
@@ -22,6 +24,7 @@ from vrfplan import (
     default_thresholds,
     load_config,
     select_rates,
+    spec_from_planning,
 )
 
 
@@ -198,6 +201,10 @@ def test_rate_set_validation():
         RateSet(rates=(), capacities=())
     with pytest.raises(InvalidConfigError):
         RateSet(rates=(100.0, math.inf), capacities=(3, 6))
+    # every rate is a number, and bool is not one
+    for rates in (("a", 2.0), (True, 2.0)):
+        with pytest.raises(InvalidConfigError, match="rate_set"):
+            RateSet(rates=rates, capacities=(3, 6))
     # the top capacity is the unit's server count K: a whole number of calls
     for capacities in ((3, 6.5), (3, 6.0), (True, 6)):
         with pytest.raises(InvalidConfigError, match="capacities"):
@@ -215,6 +222,8 @@ def test_planning_ladders_sit_on_the_lowest_rate_grid():
 def test_rate_set_grid_unit_divides_every_rate():
     rs = RateSet(rates=(100.0, 250.0, 400.0), capacities=(3, 6, 9))
     assert rs.steps == (2, 5, 8) and rs.unit_mbps == 50.0
+    # a wake-up adds the lowest step, an upgrade the difference of two
+    assert rs.jumps == (2, 3, 3)
     assert RateSet(rates=(90.0, 120.0), capacities=(3, 6)).steps == (3, 4)
 
 
@@ -271,6 +280,36 @@ def test_planning_config_rejects_a_non_numeric_link():
         PlanningConfig(profile=default_profile(), n_d=3, threshold_gap=1,
                        traffic=TrafficSpec(a=0.25, mu=0.5), cluster_size=8,
                        link_capacity_mbps="1e4")
+
+
+#: n_d=2 selects (614.4, 1228.8): a link of 614.4 carries only the lowest rate.
+@pytest.mark.parametrize("key, field, value", [
+    ("cluster_size", "cluster_size", 0),
+    ("cluster_size", "cluster_size", True),
+    ("cluster_size", "cluster_size", 2.5),
+    ("cluster_size", "cluster_size", "16"),
+    ("fha_capacity_mbps", "link_capacity_mbps", "1e4"),
+    ("fha_capacity_mbps", "link_capacity_mbps", math.nan),
+    ("fha_capacity_mbps", "link_capacity_mbps", 614.4),
+    ("fha_capacity_mbps", "link_capacity_mbps", None),
+])
+def test_every_cluster_type_checks_size_and_link_alike(key, field, value):
+    # a config file, a cluster spec and a simulation refuse a bad N or C
+    # with the same field and the same message
+    planning = config_from_dict({"a": 0.25, "n_d": 2, "cluster_size": 10})
+    routes = (
+        lambda: config_from_dict({"a": 0.25, "n_d": 2, "cluster_size": 10, key: value}),
+        lambda: dataclasses.replace(spec_from_planning(planning), **{field: value}),
+        lambda: dataclasses.replace(SimConfig.from_planning(planning, 200_000, 1),
+                                    **{field: value}),
+    )
+    errors = []
+    for route in routes:
+        with pytest.raises(InvalidConfigError) as caught:
+            route()
+        errors.append((caught.value.field, str(caught.value)))
+    assert errors[0][0] == key
+    assert errors[1:] == errors[:1] * 2
 
 
 #: A three-rate ladder whose top row serves 40 calls.

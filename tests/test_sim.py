@@ -182,20 +182,20 @@ def test_sim_config_validation():
     planning = config_from_dict({"a": 0.25, "n_d": 2, "cluster_size": 10})
     good = SimConfig.from_planning(planning, 200_000, 1)
     with pytest.raises(InvalidConfigError):
-        sim.SimConfig(**{**good.__dict__, "events": 10_000})
+        dataclasses.replace(good, events=10_000)
     with pytest.raises(InvalidConfigError):
-        sim.SimConfig(**{**good.__dict__, "seed": None})
+        dataclasses.replace(good, seed=None)
     for seed in (-1, 2**128):
         with pytest.raises(InvalidConfigError, match="seed"):
-            sim.SimConfig(**{**good.__dict__, "seed": seed})
+            dataclasses.replace(good, seed=seed)
     with pytest.raises(InvalidConfigError):
-        sim.SimConfig(**{**good.__dict__, "link_capacity_mbps": 100.0})
+        dataclasses.replace(good, link_capacity_mbps=100.0)
     with pytest.raises(InvalidConfigError):
-        sim.SimConfig(**{**good.__dict__, "shape": 0.0})
+        dataclasses.replace(good, shape=0.0)
     with pytest.raises(InvalidConfigError):
-        sim.SimConfig(**{**good.__dict__, "reconfig_latency": -0.5})
+        dataclasses.replace(good, reconfig_latency=-0.5)
     with pytest.raises(InvalidConfigError, match="reconfig_latency"):
-        sim.SimConfig(**{**good.__dict__, "reconfig_latency": math.nan})
+        dataclasses.replace(good, reconfig_latency=math.nan)
 
 
 def test_sim_config_rejects_bool_cluster_size():
@@ -203,7 +203,7 @@ def test_sim_config_rejects_bool_cluster_size():
     planning = config_from_dict({"a": 0.25, "n_d": 2, "cluster_size": 10})
     good = SimConfig.from_planning(planning, 200_000, 1)
     with pytest.raises(InvalidConfigError, match="cluster_size"):
-        sim.SimConfig(**{**good.__dict__, "cluster_size": True})
+        dataclasses.replace(good, cluster_size=True)
 
 
 @pytest.mark.parametrize("field, value, name", [
