@@ -24,7 +24,7 @@ import numpy as np
 
 from ._logspace import log_factorials, logsumexp
 from .config import PlanningConfig, RateSet, check_cluster
-from .errors import CapacityError, InvalidParameterError
+from .errors import CapacityError, InvalidConfigError, InvalidParameterError
 from .rru import RruChainSpec, RruRates, transition_rates
 
 #: Refuse to enumerate more states than this.
@@ -51,6 +51,8 @@ class AggregatorSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "grid_limit",
                            check_cluster(self.rate_set, self.cluster_size, self.link_capacity_mbps))
+        if not isinstance(self.rates, RruRates):
+            raise InvalidConfigError("rates", f"must be RruRates, got {type(self.rates).__name__}")
         if self.rates.level_count != self.rate_set.count:
             raise InvalidParameterError(
                 f"rate count mismatch: {self.rates.level_count} transition-rate levels "

@@ -121,6 +121,8 @@ class RateSet:
     steps: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "rates", tuple(self.rates))
+        object.__setattr__(self, "capacities", tuple(self.capacities))
         if not self.rates or len(self.rates) != len(self.capacities):
             raise InvalidConfigError("rate_set", "rates and capacities must be non-empty and equal-length")
         if (any(not _is_number(r) or not 0 < r < math.inf for r in self.rates)
@@ -224,6 +226,8 @@ class ThresholdPolicy:
     reverse: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "forward", tuple(self.forward))
+        object.__setattr__(self, "reverse", tuple(self.reverse))
         if len(self.forward) != len(self.reverse):
             raise InvalidConfigError("thresholds", "forward and reverse must have equal length")
         f, r = self.forward, self.reverse
@@ -276,7 +280,9 @@ class TrafficSpec:
 def check_cluster(rate_set: RateSet, cluster_size: int, link_capacity_mbps: float) -> int:
     """Check a cluster's size N and link capacity C against its rate set and
     return the link's grid limit. Every type that holds a cluster checks N
-    and C here and nowhere else."""
+    and C here and nowhere else, and the rate set's type with them."""
+    if not isinstance(rate_set, RateSet):
+        raise InvalidConfigError("rate_set", f"must be a RateSet, got {type(rate_set).__name__}")
     if not _is_int(cluster_size) or cluster_size < 1:
         raise InvalidConfigError("cluster_size", f"must be an integer >= 1, got {cluster_size!r}")
     lowest = rate_set.rates[0]

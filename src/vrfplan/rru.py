@@ -7,9 +7,13 @@ coefficients and the level-transition rates that drive the
 cluster-level model. The unit's full (users, level) chain, their oracle,
 lives in `vrfplan.oracle`.
 
-Coefficients are evaluated in log space on one path: a closed form up to
-each level's reverse threshold, and above it a cut recurrence that adds
-positive terms only, so nothing can cancel."""
+Coefficients are evaluated in log space on one path, the balance of the
+level's flows across each cut between i and i + 1 users, read in three
+stretches: a re-entry stretch from the level's base up to its gateway
+(where departures at the base come back), a birth-death stretch from
+the gateway up to the reverse threshold, and the hysteresis band above
+it. Each stretch adds positive terms only, so nothing can cancel, and
+no array is longer than the unit's server count plus one."""
 
 from __future__ import annotations
 
@@ -45,7 +49,7 @@ class RruChainSpec:
                     "thresholds", f"forward threshold F_{l}={f} exceeds rate capacity K_{l}={k}"
                 )
         # each level's band must start above the previous forward threshold,
-        # otherwise the per-level chains overlap and the closed forms do not apply
+        # which keeps its gateway F_{l-1} + 1 at or below its reverse threshold
         for l in range(2, m):
             r_l = self.thresholds.reverse[l - 1]
             f_prev = self.thresholds.forward[l - 2]
@@ -121,45 +125,41 @@ class RruRates:
         return len(self.up)
 
 
-def _log_interior(users: np.ndarray, base: int, gateway: int, log_rho: float,
-                  lf: np.ndarray) -> np.ndarray:
-    """log of the coefficient, up to a common factor, at each user count
-    i <= R_l of a level entered at `base` from below through `gateway` =
-    F_{l-1} + 1: the row-wise log-sum-exp of base * rho^j * (i-j-1)! / i!
-    over max(0, i - gateway) <= j <= i - base."""
-    i = users[:, None]
-    j = np.arange(users[-1] - base + 1)[None, :]
-    inside = (j >= i - gateway) & (j <= i - base)
-    k = np.where(inside, i - j - 1, 0)
-    terms = np.where(inside, math.log(base) + j * log_rho + lf[k] - lf[i], -math.inf)
-    return logsumexp(terms, axis=1)
-
-
 def _log_coefficients(spec: RruChainSpec, level: int) -> np.ndarray:
     """Log coefficients over `level`'s user range, shifted so the base
-    entry is exactly 0 (coefficient 1).
+    entry lo is exactly 0 (coefficient 1).
 
-    Up to R_l the level's interior is in closed form (level 1's is the
-    Poisson form). Above it, the cut between i and i + 1 users balances
-    lam * p_i = (i + 1) * mu * p_{i+1} + lam * p_F: read downward from F_l
-    it adds positive terms only, and joins the interior at R_l.
+    The cut between i and i + 1 users balances the level's flows, read in
+    three stretches that each add positive terms only:
+
+    - re-entry, lo <= i < gateway = F_{l-1} + 1: a departure at lo leaves
+      the level and comes back at the gateway, so
+      lam * p_i + lo * mu * p_lo = (i + 1) * mu * p_{i+1}, read upward
+      from p_lo = 1 (level 1 has none: its gateway is its base, the off
+      state);
+    - birth-death, gateway <= i < R_l: lam * p_i = (i + 1) * mu * p_{i+1},
+      so p_i = p_g * rho^(i-g) * g! / i! (level 1's is the Poisson form);
+    - hysteresis band, R_l <= i < F_l: an arrival at F_l leaves and comes
+      back at R_l, so lam * p_i = (i + 1) * mu * p_{i+1} + lam * p_F,
+      read downward from p_F = 1 and joined to the rest at R_l.
     """
     lr = math.log(spec.rho)
-    users = np.array(spec.user_range(level))
+    users = spec.user_range(level)
+    lo, f_l = users.start, users.stop - 1
     top = level == spec.level_count
-    lo, f_l = int(users[0]), int(users[-1])
     r_l = f_l if top else spec.thresholds.reverse[level - 1]
-    below = users[:r_l - lo + 1]
+    gateway = lo if level == 1 else spec.forward_at(level - 1) + 1
+    lt = np.zeros(r_l - lo + 1)
+    # re-entry: up from p_lo = 1 to the gateway
+    for i in range(lo, gateway):
+        lt[i - lo + 1] = np.logaddexp(lr + lt[i - lo], math.log(lo)) - math.log(i + 1)
+    # birth-death: from the gateway up to R_l
     lf = log_factorials(r_l)
-    if level == 1:
-        lt = below * lr - lf[below]
-    else:
-        gateway = spec.forward_at(level - 1) + 1
-        lt = _log_interior(below, lo, gateway, lr, lf)
-    lt -= lt[0]
+    g, i = gateway - lo, np.arange(gateway, r_l + 1)
+    lt[g:] = lt[g] + (i - gateway) * lr - (lf[i] - lf[gateway])
     if top:
         return lt
-    # the cut recurrence from p_F = 1 down to R_l, in log space
+    # hysteresis band: from p_F = 1 down to R_l
     lq = np.zeros(f_l - r_l + 1)
     for i in range(len(lq) - 2, -1, -1):
         lq[i] = np.logaddexp(math.log(r_l + i + 1) - lr + lq[i + 1], 0.0)

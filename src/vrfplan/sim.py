@@ -120,6 +120,8 @@ class SimConfig:
     grid_limit: int = field(init=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.unit, RruChainSpec):
+            raise InvalidConfigError("unit", f"must be an RruChainSpec, got {type(self.unit).__name__}")
         object.__setattr__(self, "grid_limit", check_cluster(self.unit.rate_set, self.cluster_size,
                                                              self.link_capacity_mbps))
         if not _is_int(self.events) or self.events < MIN_EVENTS:

@@ -154,6 +154,20 @@ def test_simulate_rejects_bad_arrival(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_simulate_latency_row_leaves_agree_empty(tmp_path, capsys):
+    # the analytic model has no latency, so a latency row is not judged by it
+    cfg = write_config(tmp_path, a=0.3, n_d=3, cluster_size=18)
+    out_0, out_l = tmp_path / "zero.csv", tmp_path / "latency.csv"
+    for out, latency in ((out_0, "0"), (out_l, "0.5")):
+        assert main(["simulate", "--config", cfg, "--events", "100000", "--seed", "7",
+                     "--latency", latency, "--out", str(out)]) == 0
+    capsys.readouterr()
+    (r0,), (rl,) = rows_of(out_0), rows_of(out_l)
+    assert r0["agree"] in ("true", "false")
+    assert rl["agree"] == ""
+    assert rl["pb_analytic"] == r0["pb_analytic"] and rl["pb_sim"] != ""
+
+
 def test_simulate_rejects_nan_latency(tmp_path, capsys):
     cfg = write_config(tmp_path, a=0.3, n_d=3, cluster_size=14)
     assert main(["simulate", "--config", cfg, "--events", "100000", "--seed", "1",

@@ -312,6 +312,34 @@ def test_every_cluster_type_checks_size_and_link_alike(key, field, value):
     assert errors[1:] == errors[:1] * 2
 
 
+@pytest.mark.parametrize("build, field", [
+    (lambda spec, cfg: dataclasses.replace(spec, rate_set=None), "rate_set"),
+    (lambda spec, cfg: dataclasses.replace(spec, rate_set=(614.4, 1228.8)), "rate_set"),
+    (lambda spec, cfg: dataclasses.replace(spec, rates=None), "rates"),
+    (lambda spec, cfg: dataclasses.replace(spec, rates=((12.5,), (0.1,))), "rates"),
+    (lambda spec, cfg: dataclasses.replace(cfg, unit=None), "unit"),
+    (lambda spec, cfg: dataclasses.replace(cfg, unit=spec.rate_set), "unit"),
+], ids=["rate_set-none", "rate_set-tuple", "rates-none", "rates-tuple", "unit-none",
+        "unit-rate_set"])
+def test_cluster_types_refuse_a_wrong_typed_field_by_name(build, field):
+    planning = config_from_dict({"a": 0.25, "n_d": 2, "cluster_size": 10})
+    spec, cfg = spec_from_planning(planning), SimConfig.from_planning(planning, 200_000, 1)
+    with pytest.raises(InvalidConfigError) as caught:
+        build(spec, cfg)
+    assert caught.value.field == field
+
+
+def test_list_built_rate_sets_and_policies_equal_tuple_built_and_hash():
+    pairs = (
+        (RateSet(rates=[614.4, 1228.8], capacities=[25, 50]),
+         RateSet(rates=(614.4, 1228.8), capacities=(25, 50))),
+        (ThresholdPolicy(forward=[3], reverse=[2]), ThresholdPolicy(forward=(3,), reverse=(2,))),
+    )
+    for listed, tupled in pairs:
+        assert listed == tupled
+        assert hash(listed) == hash(tupled)
+
+
 #: A three-rate ladder whose top row serves 40 calls.
 PROFILE_40 = [
     {"bandwidth_mhz": 5.0, "fft_size": 512, "prb_count": 20, "rate_mbps": 200.0, "max_users": 10},

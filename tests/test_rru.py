@@ -2,11 +2,13 @@
 distributions, level-transition rates, and the decomposition identity."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from vrfplan import InvalidParameterError, VrfError, config_from_dict, transition_rates
+from vrfplan import (InvalidConfigError, InvalidParameterError, RruRates, VrfError,
+                     config_from_dict, transition_rates)
 from vrfplan import oracle, rru
 from vrfplan.oracle import build_global_chain
 from vrfplan.rru import partition_coefficients
@@ -170,6 +172,29 @@ def test_transition_rates_match_recorded_values(key):
     assert rates.down == pytest.approx(down, rel=1e-12)
 
 
+def custom_unit(a, rows):
+    """The unit of a custom profile of `rows`, each (rate Mbit/s, calls),
+    switching among all of them."""
+    profile = [{"bandwidth_mhz": 1.0 + k, "fft_size": 128, "prb_count": 2 * calls,
+                "rate_mbps": rate, "max_users": calls} for k, (rate, calls) in enumerate(rows)]
+    planning = config_from_dict({"profile": profile, "a": a, "n_d": len(rows),
+                                 "cluster_size": 4, "threshold_gap": 2})
+    return rru.RruChainSpec.from_planning(planning)
+
+
+def test_large_unit_rates_take_memory_linear_in_servers():
+    # a (users x users) scratch would take over 100 MB here
+    spec = custom_unit(0.001, ((600.0, 4), (1200.0, 2000)))
+    tracemalloc.start()
+    try:
+        rates = transition_rates(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert all(math.isfinite(r) and r > 0.0 for r in rates.up + rates.down)
+
+
 def test_coefficients_reject_bad_level():
     with pytest.raises(InvalidParameterError):
         partition_coefficients(toy_chain(), 0)
@@ -315,8 +340,33 @@ def chain_rates(spec):
 
 
 def test_transition_rates_match_their_chain_definition():
-    for key, spec in unit_grid():
+    # the default ladders, and a custom one of 300 calls away from them
+    large = (("custom", 0.5), custom_unit(0.5, ((300.0, 75), (600.0, 150), (1200.0, 300))))
+    for key, spec in [*unit_grid(), large]:
         up, down = chain_rates(spec)
         rates = transition_rates(spec)
         assert rates.up == pytest.approx(up, rel=1e-12), key
         assert rates.down == pytest.approx(down, rel=1e-12), key
+
+
+# ---------------------------------------------------------------------------
+# refusals
+
+def three_level_chain(forward, reverse):
+    return mk_chain((100.0, 200.0, 400.0), (3, 6, 9), forward, reverse, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: mk_chain((100.0, 200.0), (3, 6), (), (), 1.0, 0.5),
+     InvalidConfigError, "need exactly 1"),
+    (lambda: three_level_chain((4, 6), (2, 5)), InvalidConfigError, "exceeds rate capacity"),
+    # R_2 <= F_1 would put level 2's gateway above its reverse threshold
+    (lambda: three_level_chain((3, 6), (2, 3)), InvalidConfigError, "must exceed forward"),
+    (lambda: RruRates(up=(1.0, 0.5), down=(1.0,)), InvalidParameterError, "equal length"),
+    (lambda: RruRates(up=(1.0,), down=(0.0,)), InvalidParameterError, "positive"),
+    (lambda: RruRates(up=(1.0, 1.0), down=(1.0, 1.0)), InvalidParameterError, "below the raw"),
+], ids=["threshold-count", "forward-above-capacity", "reverse-not-above-forward",
+        "rates-length", "rate-not-positive", "upgrade-not-below-arrival"])
+def test_unit_and_rates_refuse_what_the_recurrence_cannot_take(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
