@@ -197,5 +197,10 @@ def transition_rates(spec: RruChainSpec) -> RruRates:
         down.append(entry * mu * math.exp(lc[0] - norm))
         if level < spec.level_count:
             up.append(lam * math.exp(lc[-1] - norm))
+            if up[-1] == 0.0:
+                raise InvalidParameterError(
+                    f"the upgrade rate out of level {level} underflows a double at load "
+                    f"a={spec.traffic.a} (its log is {math.log(lam) + lc[-1] - norm:.1f}), "
+                    f"so level {level + 1} is unreachable")
     return RruRates(up=tuple(up), down=tuple(down))
 

@@ -17,25 +17,31 @@ blocking probability and the quantity compared against it. The two
 differ in heavy blocking because a unit pinned on a forward threshold
 retries on every arrival, which the call-level average weights.
 
-`run` keeps one future-event heap. The warm-up and each of the
-`BATCH_COUNT` batches run as a segment of their own, an inner loop with
-plain local counters; the load and flow integrals advance only when the
-occupancy changes. The load is an integer count of the rate set's grid
-unit, and the link admits a step when the new load stays within the
-rate set's grid limit: the same integer comparison the analytic grid
-solve makes. Loads are scaled back to Mbit/s only in the statistics.
-The random stream comes from a counter-based Philox generator keyed by
-the config seed. Its uniforms are drawn in blocks, and each block is
-transformed once in numpy into two lists, inter-arrival times and
-holding times, whose positions are consumed in stream order.
+`run` keeps no event heap. The units' arrivals are merged in numpy into
+one timeline, window by window; departures come from one exponential
+clock at the rate of all calls in progress, since holding times are
+exponential; delayed downgrades wait in a FIFO queue, since every delay
+is the same. The warm-up and each of the `BATCH_COUNT` batches run as a
+segment of their own, an inner loop with plain local counters; the load
+and flow integrals advance only when the occupancy changes. The load is
+an integer count of the rate set's grid unit, and the link admits a step
+when the new load stays within the rate set's grid limit: the same
+integer comparison the analytic grid solve makes. Loads are scaled back
+to Mbit/s only in the statistics.
+The random streams come from a counter-based Philox generator keyed by
+the config seed: jump r + 1 feeds unit r's inter-arrival times and the
+unjumped stream the departure clock, so a unit's arrivals do not depend
+on the cluster size. Uniforms are drawn in blocks, each transformed once
+in numpy and consumed in stream order.
 Identical configurations therefore reproduce bit-identical statistics,
 whatever the block size, on a given platform and numpy build.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
+from collections import deque
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,10 +57,9 @@ BATCH_COUNT = 20
 #: 97.5% quantile of Student's t with BATCH_COUNT-1 degrees of freedom
 #: (scipy.stats.t.ppf(0.975, 19), kept as a literal to spare the import).
 T_QUANTILE = 2.0930240544083087
-#: Uniforms drawn and transformed at a time; the outcome does not depend on it.
+#: Uniforms the units' arrivals share, and uniform pairs the departure clock
+#: draws, at a time; the outcome does not depend on it.
 _UNIFORM_BLOCK = 1 << 12
-
-_ARRIVAL, _DEPARTURE, _EXPIRY = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -189,32 +194,76 @@ class SimStats:
     batch_flow_total: tuple[float, ...]
 
 
+def _arrival_windows(seed: int, n: int, quantile: Callable[[np.ndarray], np.ndarray],
+                     block: int) -> Iterator[tuple[list[float], list[int]]]:
+    """The merged arrival timeline of `n` renewal units, one window at a
+    time: a list of arrival times in order and a list of their units.
+
+    Unit r draws its gaps from its own Philox substream, the seed key's
+    (r + 1)-th jump, `block` at a time, and accumulates each block from
+    its last arrival time, so the times do not depend on `block`. A window
+    holds every drawn arrival up to the earliest horizon (last drawn time)
+    of the units, sorted by time with ties by unit; later arrivals carry
+    over to the next window, to which every unit with fewer than `block`
+    of them left first draws another block.
+    """
+    streams = [np.random.Generator(np.random.Philox(key=seed).jumped(r + 1)) for r in range(n)]
+    last = np.zeros(n)
+    ahead = np.zeros(n, dtype=np.int64)
+    times, units = np.empty(0), np.empty(0, dtype=np.int64)
+    while True:
+        low = np.flatnonzero(ahead < block)
+        gaps = quantile(np.array([streams[r].random(block) for r in low]))
+        drawn = np.cumsum(np.column_stack((last[low], gaps)), axis=1)[:, 1:]
+        last[low] = drawn[:, -1]
+        ahead[low] += block
+        times = np.concatenate((times, drawn.ravel()))
+        units = np.concatenate((units, np.repeat(low, block)))
+        due = times <= last.min()
+        merged = np.flatnonzero(due)
+        merged = merged[np.lexsort((units[merged], times[merged]))]
+        ahead -= np.bincount(units[merged], minlength=n)
+        yield times[merged].tolist(), units[merged].tolist()
+        times, units = times[~due], units[~due]
+
+
 def run(config: SimConfig) -> SimStats:
     """Run one replication and return its statistics.
 
-    Event-driven with a single future-event heap; ties broken by push
-    order for determinism. The first 5% of events warm the system up and
-    are excluded from every counter; the rest split into `BATCH_COUNT`
-    equal batches whose means yield the confidence interval.
+    The first 5% of events warm the system up and are excluded from every
+    counter; the rest split into `BATCH_COUNT` equal batches whose means
+    yield the confidence interval. Events are arrivals and departures.
 
     The warm-up and each batch run as one segment: an inner loop over the
     segment's events with plain local counters, whose totals are appended
-    as the batch's entry when the segment ends. Expiries of delayed
-    downgrades are not counted as events and belong to the segment they
-    fall in. Each event only decides its unit's level move: up one level
-    (an admitted upgrade or wake-up), down one (a downgrade, at once or
-    when its delay expires) or none. One block then makes the move: it
-    advances the load and flow integrals, moves the unit between the level
-    counts, recomputes the load and flow rates and checks the link
-    capacity. So the integrals advance only when the occupancy changes,
-    and once more at each segment end.
+    as the batch's entry when the segment ends. The next event is the
+    earliest of three clocks:
 
-    Uniforms are drawn `_UNIFORM_BLOCK` at a time. Each block is
-    transformed once, in numpy, into a list of inter-arrival times
-    (`ArrivalProcess.quantile`) and a list of exponential holding times.
-    Every position is consumed once, in stream order, as the gap to a
-    unit's next arrival or as the holding time of an accepted call, so the
-    block size does not change the outcome.
+    - arrivals, read off the merged timeline of the units' renewal
+      streams (`_arrival_windows`);
+    - one departure clock of rate mu * U, U the calls in progress. It is
+      redrawn whenever U changes, from the seed key's own Philox stream,
+      two uniforms a draw: an exponential time and the pick of the
+      departing call among U, each call equally likely. A list holds each
+      call's unit; a departing call is swapped with the last entry and
+      removed;
+    - expiries of delayed downgrades, in a FIFO queue, since the latency
+      is the same for all. They are not counted as events and belong to
+      the segment they fall in.
+
+    Each event only decides its unit's level move: up one level (an
+    admitted upgrade or wake-up), down one (a downgrade, at once or when
+    its delay expires) or none. One block then makes the move: it
+    advances the load and flow integrals, moves the unit between the
+    level counts, looks up the load and flow rates of the new counts
+    (computed once per run for each) and checks the link capacity. So the
+    integrals advance only when the occupancy changes, and once more at
+    each segment end.
+
+    Each unit draws its share of `_UNIFORM_BLOCK` uniforms at a time, at
+    least 64, and the departure clock `_UNIFORM_BLOCK` pairs; each block
+    is transformed once, in numpy. Every stream is consumed in its own
+    order, so the block size does not change the outcome.
     """
     chain = config.unit
     rate_set = chain.rate_set
@@ -226,8 +275,8 @@ def run(config: SimConfig) -> SimStats:
     big_k = rate_set.server_count
     mu = chain.traffic.mu
     latency = config.reconfig_latency
-    quantile = config.arrival.quantile
     block = _UNIFORM_BLOCK
+    inf = math.inf
 
     # forward[l] and reverse_prev[l] indexed by current level l (1-based);
     # an idle unit (l = 0) wakes up on its first call
@@ -251,18 +300,25 @@ def run(config: SimConfig) -> SimStats:
     segment_ends = ([warmup] + [warmup + (i + 1) * batch_size for i in range(BATCH_COUNT - 1)]
                     + [total_events])
 
-    rng = np.random.Generator(np.random.Philox(key=config.seed))
+    # at least 64 gaps a unit, so that the windows stay long in large clusters
+    windows = _arrival_windows(config.seed, n, config.arrival.quantile, max(64, block // n))
+    departures = np.random.Generator(np.random.Philox(key=config.seed))
 
     def draw() -> tuple[list[float], list[float]]:
-        """The next block's inter-arrival and holding times."""
-        u = rng.random(block)
-        return quantile(u).tolist(), (-np.log1p(-u) / mu).tolist()
+        """The departure clock's next block: holding times of one call
+        (rate mu) and picks in [0, 1)."""
+        u = departures.random(2 * block)
+        return (-np.log1p(-u[0::2]) / mu).tolist(), u[1::2].tolist()
 
     users = [0] * n
     level = [0] * n
     at_level = [0] * (m + 1)
     at_level[0] = n
     pending = [0] * n
+    # owners[:busy] holds the unit of each call in progress, in no order
+    owners = [0] * (n * big_k)
+    # delayed downgrades: (expiry time, unit, request token), in time order
+    expiries: deque[tuple[float, int, int]] = deque()
 
     def occupancy_rates() -> tuple[int, float, float]:
         """Load, summed from the level counts, and the censored and total
@@ -279,19 +335,20 @@ def run(config: SimConfig) -> SimStats:
                 num += f
         return c, num, den
 
-    heap: list[tuple[float, int, int, int, int]] = []
-    heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace
-    gaps, holds = draw()
-    pos = 0
-    for r in range(n):
-        if pos == block:
-            gaps, holds = draw()
-            pos = 0
-        heappush(heap, (gaps[pos], r, _ARRIVAL, r, 0))
-        pos += 1
-    seq = n
+    # the level counts as one integer, sum of at_level[l] * (n + 1)**l
+    weight = [(n + 1) ** lv for lv in range(m + 1)]
+    code = n
+    occupancy = {code: occupancy_rates()}
+    c_now, num_rate, den_rate = occupancy[code]
 
-    c_now, num_rate, den_rate = occupancy_rates()
+    arrival_times, arrival_units = next(windows)
+    ai, na = 0, len(arrival_times)
+    holds, picks = draw()
+    di = 0
+    busy = 0
+    t_dep = t_exp = inf
+    pick = 0.0
+
     c_max = 0
     t = t_mark = t_start = 0.0
     processed = 0
@@ -303,17 +360,58 @@ def run(config: SimConfig) -> SimStats:
         arr = acc = rru = fha = att = 0
         c_int = f_num = f_den = 0.0
         while processed < end:
-            t, _, kind, r, token = heap[0]
+            if ai == na:
+                arrival_times, arrival_units = next(windows)
+                ai, na = 0, len(arrival_times)
+            t_arr = arrival_times[ai]
             move = 0
 
-            if kind == _ARRIVAL:
-                # schedule the unit's next arrival in place of this one
-                if pos == block:
-                    gaps, holds = draw()
-                    pos = 0
-                heapreplace(heap, (t + gaps[pos], seq, _ARRIVAL, r, 0))
-                pos += 1
-                seq += 1
+            if t_exp <= t_arr and t_exp <= t_dep:
+                # delayed downgrade: only the newest request per unit survives,
+                # and only if the unit never climbed back above the threshold;
+                # a unit still at or below the next threshold down asks again
+                t, r, token = expiries.popleft()
+                t_exp = expiries[0][0] if expiries else inf
+                lv = level[r]
+                cur = users[r]
+                if token == pending[r] and lv >= 1 and cur <= reverse_prev[lv]:
+                    move = -1
+                    if lv >= 2 and cur <= reverse_prev[lv - 1]:
+                        pending[r] += 1
+                        expiries.append((t + latency, r, pending[r]))
+                        t_exp = expiries[0][0]
+
+            elif t_dep < t_arr:
+                t = t_dep
+                processed += 1
+                k = int(pick * busy)
+                busy -= 1
+                r = owners[k]
+                owners[k] = owners[busy]
+                if busy:
+                    if di == block:
+                        holds, picks = draw()
+                        di = 0
+                    t_dep = t + holds[di] / busy
+                    pick = picks[di]
+                    di += 1
+                else:
+                    t_dep = inf
+                cur = users[r] - 1
+                users[r] = cur
+                lv = level[r]
+                if cur == reverse_prev[lv]:
+                    if immediate:
+                        move = -1
+                    else:
+                        pending[r] += 1
+                        expiries.append((t + latency, r, pending[r]))
+                        t_exp = expiries[0][0]
+
+            else:
+                t = t_arr
+                r = arrival_units[ai]
+                ai += 1
                 processed += 1
                 arr += 1
                 cur = users[r]
@@ -330,40 +428,14 @@ def run(config: SimConfig) -> SimStats:
                 acc += 1
                 cur += 1
                 users[r] = cur
-                if pos == block:
-                    gaps, holds = draw()
-                    pos = 0
-                heappush(heap, (t + holds[pos], seq, _DEPARTURE, r, 0))
-                pos += 1
-                seq += 1
-
-            elif kind == _DEPARTURE:
-                heappop(heap)
-                processed += 1
-                cur = users[r] - 1
-                users[r] = cur
-                lv = level[r]
-                if cur == reverse_prev[lv]:
-                    if immediate:
-                        move = -1
-                    else:
-                        pending[r] += 1
-                        heappush(heap, (t + latency, seq, _EXPIRY, r, pending[r]))
-                        seq += 1
-
-            else:
-                # delayed downgrade: only the newest request per unit survives,
-                # and only if the unit never climbed back above the threshold;
-                # a unit still at or below the next threshold down asks again
-                heappop(heap)
-                lv = level[r]
-                cur = users[r]
-                if token == pending[r] and lv >= 1 and cur <= reverse_prev[lv]:
-                    move = -1
-                    if lv >= 2 and cur <= reverse_prev[lv - 1]:
-                        pending[r] += 1
-                        heappush(heap, (t + latency, seq, _EXPIRY, r, pending[r]))
-                        seq += 1
+                owners[busy] = r
+                busy += 1
+                if di == block:
+                    holds, picks = draw()
+                    di = 0
+                t_dep = t + holds[di] / busy
+                pick = picks[di]
+                di += 1
 
             if move:
                 dt = t - t_mark
@@ -372,10 +444,15 @@ def run(config: SimConfig) -> SimStats:
                 f_den += den_rate * dt
                 t_mark = t
                 at_level[lv] -= 1
+                code -= weight[lv]
                 lv += move
                 at_level[lv] += 1
+                code += weight[lv]
                 level[r] = lv
-                c_now, num_rate, den_rate = occupancy_rates()
+                rates = occupancy.get(code)
+                if rates is None:
+                    rates = occupancy[code] = occupancy_rates()
+                c_now, num_rate, den_rate = rates
                 # only an upgrade can raise the load past c_max
                 if c_now > c_max:
                     c_max = c_now

@@ -1,12 +1,15 @@
-"""The simulator's previous event loop, kept as a test oracle.
+"""An earlier heap engine of the simulator, kept as a test oracle.
 
-`run` is the engine `vrfplan.sim.run` replaced: one loop over every
-event, with the warm-up and batch bookkeeping tested on each event, the
-load and flow integrals advanced on each event, and every uniform drawn
-and transformed one at a time in pure Python (`scalar_quantile` is the
-scalar inverse CDF it used). It consumes the same Philox stream in the
-same order, so the library engine must reproduce its integer counters
-exactly and its float fields up to summation order.
+`run` keeps one future-event heap: one loop over every event, with the
+warm-up and batch bookkeeping tested on each event, the load and flow
+integrals advanced on each event, a departure scheduled for every call,
+and every uniform drawn from one Philox stream and transformed one at a
+time in pure Python (`scalar_quantile` is the scalar inverse CDF it
+used). It compares loads in Mbit/s with a float slack. `vrfplan.sim.run`
+draws other streams (one per unit, and one for its single departure
+clock), so the two engines agree in distribution only: the library's
+estimates must match this one's within a multiple of their combined
+batch-means standard error, and the integer bookkeeping exactly.
 """
 
 from __future__ import annotations

@@ -9,11 +9,11 @@ in between, and saturated once 1 - P_B < 1e-3. At a saturated point check
 7 judges the unblocked complement as it judges the rare end, and check 8
 asks every arrival shape to block at least 1 - 1e-3 of the flow.
 
-Check 8 passes. Check 7 fails by design at 30 knee-band points (load 0.3
+Check 8 passes. Check 7 fails by design at 32 knee-band points (load 0.3
 at depth 3 N=18-20 and depth 4 N=17-20; load 0.5 at depth 2 N=11-15,
-depth 3 N=10, 12-15, 17-20 and depth 4 N=11-15, 17-20), with P_B from
-~0.1 up to ~0.996. There the simulator measures 4-13 stderr more blocking
-than the analytic model. The cause is in the model, not in the simulator:
+depth 3 N=10-15, 17-20 and depth 4 N=11-20), with P_B from ~0.1 up to
+~0.996. There the simulator measures 3-19 stderr more blocking than the
+analytic model. The cause is in the model, not in the simulator:
 the model homogenizes each unit, while a unit refused an upgrade stays
 pinned at its forward threshold. On the two-unit joint chain of
 `util.TwoUnitExact` (link 350) the model gives a censored-flow share of

@@ -52,15 +52,15 @@ P_B total           0.999967703
 """,
     "simulate_seeded": """\
 events processed     100000 (warm-up 5000)
-arrivals             47513
-accepted             47512
+arrivals             47493
+accepted             47493
 blocked (unit full)  0
-blocked (link)       1
-upgrade attempts     2637
-P_B flow estimate    1.82222405e-05 +- 2.88072672e-05 (95% CI)
-P_B per attempt      0.000379218809
-P_B per arrival      2.10468714e-05 (link) 0 (unit) 2.10468714e-05 (total)
-mean aggregate rate  7568.24825 Mbit/s
+blocked (link)       0
+upgrade attempts     2667
+P_B flow estimate    2.47029447e-05 +- 4.15815918e-05 (95% CI)
+P_B per attempt      0
+P_B per arrival      0 (link) 0 (unit) 0 (total)
+mean aggregate rate  7612.04803 Mbit/s
 max aggregate rate   9830.4 Mbit/s
 """,
     "sweep_analytic": """\
@@ -76,8 +76,8 @@ n,a,n_d,gap,arrival,events,seed,pb_analytic,pb_components,pb_sim,pb_sim_ci,block
 """,
     "sweep_both": """\
 n,a,n_d,gap,arrival,events,seed,pb_analytic,pb_components,pb_sim,pb_sim_ci,blocked_rru,blocked_fha,agree
-16,0.25,3,1,poisson,100000,6258858271174603498,4.11203923e-05,2.08098132e-10;2.69296915e-05;1.41904927e-05,3.86328534e-05,7.1119071e-05,0,0,true
-17,0.25,3,1,poisson,100000,4592233804096143552,0.00118593324,9.52405302e-09;0.00100259219;0.000183331524,0.00302223232,0.00427198498,0,21,true
+16,0.25,3,1,poisson,100000,6258858271174603498,4.11203923e-05,2.08098132e-10;2.69296915e-05;1.41904927e-05,2.10111629e-05,4.96409527e-05,0,0,true
+17,0.25,3,1,poisson,100000,4592233804096143552,0.00118593324,9.52405302e-09;0.00100259219;0.000183331524,0.00127513852,0.000772379669,0,6,true
 """,
 }
 

@@ -195,6 +195,16 @@ def test_large_unit_rates_take_memory_linear_in_servers():
     assert all(math.isfinite(r) and r > 0.0 for r in rates.up + rates.down)
 
 
+def test_rates_name_the_level_whose_upgrade_rate_underflows():
+    # at a = 0.001 a 1000-call forward threshold is reached with
+    # probability exp(-5221): no double holds the upgrade rate
+    spec = custom_unit(0.001, ((600.0, 1000), (1200.0, 2000)))
+    with pytest.raises(InvalidParameterError,
+                       match=r"out of level 1 underflows a double at load a=0\.001 .*"
+                             r"level 2 is unreachable"):
+        transition_rates(spec)
+
+
 def test_coefficients_reject_bad_level():
     with pytest.raises(InvalidParameterError):
         partition_coefficients(toy_chain(), 0)

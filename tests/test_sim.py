@@ -14,7 +14,6 @@ from vrfplan import (
     InvalidConfigError,
     InvalidParameterError,
     SimConfig,
-    SimStats,
     blocking_for_planning,
     config_from_dict,
     reconfig_arrival_probability,
@@ -374,7 +373,40 @@ def test_zero_latency_equals_default():
 
 
 # ---------------------------------------------------------------------------
-# the segment engine against the previous per-event engine
+# the merged arrival timeline
+
+def merged_arrivals(process, seed, n, block, count):
+    """The first `count` arrival times and units of `sim.run`'s timeline."""
+    times, units = [], []
+    for window_times, window_units in sim._arrival_windows(seed, n, process.quantile, block):
+        times += window_times
+        units += window_units
+        if len(times) >= count:
+            return np.array(times[:count]), np.array(units[:count])
+
+
+@pytest.mark.parametrize("shape", [1.0, 0.9, 1.5])
+def test_arrival_merge(shape):
+    process = ArrivalProcess(rate=2.0, shape=shape)
+    seed, n, count = 5, 16, 30_000
+    times, units = merged_arrivals(process, seed, n, sim._UNIFORM_BLOCK, count)
+    assert (np.diff(times) >= 0.0).all()
+    # unit r's arrival times are the running sums of its own substream's
+    # inter-arrival quantiles, in order
+    for r in range(n):
+        mine = times[units == r]
+        assert len(mine) > 0
+        rng = np.random.Generator(np.random.Philox(key=seed).jumped(r + 1))
+        np.testing.assert_array_equal(mine, np.cumsum(process.quantile(rng.random(len(mine)))))
+    # blocks smaller than the cluster, and ones that do not divide the default
+    for block in (7, 1000):
+        other_times, other_units = merged_arrivals(process, seed, n, block, count)
+        np.testing.assert_array_equal(other_times, times)
+        np.testing.assert_array_equal(other_units, units)
+
+
+# ---------------------------------------------------------------------------
+# the heap-free engine against the previous heap engine
 
 #: Clusters of the engine comparison: planning configs (a, n_d, N) on the
 #: default link, and (None) a toy ladder (100, 250) on a 700 Mbit/s link
@@ -385,22 +417,22 @@ ENGINE_CLUSTERS = {"0.2-1-9": (0.2, 1, 9), "0.25-3-16": (0.25, 3, 16),
 ENGINE_SHAPES = {"poisson-1.0": 1.0, "weibull-0.9": 0.9, "weibull-1.5": 1.5}
 #: Every (shape, latency, cluster), and one case whose long latency lets
 #: delayed downgrades cascade: an expiry that steps a unit down re-arms
-#: the next one between two active levels (92 times at seed 23).
+#: the next one between two active levels.
 ENGINE_CASES = [
     pytest.param(shape, latency, cluster, id=f"{shape_id}-{latency}-{cluster_id}")
     for shape_id, shape in ENGINE_SHAPES.items()
     for latency in (0.0, 0.5)
     for cluster_id, cluster in ENGINE_CLUSTERS.items()
 ] + [pytest.param(1.0, 2.0, (0.2, 4, 12), id="poisson-1.0-2.0-0.2-4-12")]
+#: Combined batch-means standard errors two engines' estimates may differ by.
+ENGINE_SE_MULTIPLE = 4.0
 
 
 @pytest.mark.parametrize("shape, latency, cluster", ENGINE_CASES)
 def test_engine_matches_reference_engine(cluster, latency, shape):
-    # same stream, same heap order: every count is equal; the integrals
-    # are summed in another order and the uniforms transformed by numpy,
-    # so floats agree to a tolerance fixed beforehand. The reference
-    # engine compares loads in Mbit/s with a float slack, the library in
-    # integer grid units.
+    # the engines draw different streams, so their estimates agree only
+    # in distribution: within a multiple of the combined standard error
+    # fixed beforehand. The integer bookkeeping is exact in both.
     if cluster is None:
         chain = mk_chain((100.0, 250.0), (3, 6), (3,), (2,), 1.5, 0.5)
         assert chain.rate_set.steps == (2, 5)
@@ -412,13 +444,17 @@ def test_engine_matches_reference_engine(cluster, latency, shape):
         cfg = SimConfig.from_planning(planning, 100_000, 23, shape, latency)
     got, want = sim.run(cfg), reference_sim.run(cfg)
     if cluster is None:
-        assert want.blocked_fha > 0
-    for field in dataclasses.fields(SimStats):
-        g, w = getattr(got, field.name), getattr(want, field.name)
-        if isinstance(w, float) or (isinstance(w, tuple) and isinstance(w[0], float)):
-            np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0, err_msg=field.name)
-        else:
-            assert g == w, field.name
+        assert want.blocked_fha > 0 and got.blocked_fha > 0
+    for stats in (got, want):
+        assert stats.arrivals == stats.accepted + stats.blocked_rru + stats.blocked_fha
+        assert stats.events_processed == cfg.events
+        assert (stats.warmup_events, stats.seed) == (cfg.events // 20, cfg.seed)
+    for quantity, ((g, g_se), (w, w_se)) in {
+        "flow": [(s.estimate_fha_flow, s.stderr) for s in (got, want)],
+        "per attempt": [(s.estimate_fha_per_attempt, batch_se(s.batch_blocked_fha, s.batch_attempts))
+                        for s in (got, want)],
+    }.items():
+        assert abs(g - w) <= ENGINE_SE_MULTIPLE * math.hypot(g_se, w_se), (quantity, g, g_se, w, w_se)
 
 
 @pytest.mark.parametrize("latency", [0.0, 0.5])
