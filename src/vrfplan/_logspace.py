@@ -1,4 +1,5 @@
-"""Log-space helpers shared by the closed forms and the cluster solve.
+"""Log-space helpers shared by the closed forms and the cluster solve:
+the log-sum-exp of one array and a log-factorial table.
 
 Plain numpy and `math`, so that the query path imports no scipy module.
 """
@@ -10,18 +11,15 @@ import math
 import numpy as np
 
 
-def logsumexp(a, axis: int | None = None) -> np.ndarray | float:
-    """log(sum(exp(a))) over `axis` (all entries when None), shifted by the
-    maximum so that nothing overflows. An empty slice, or one of only -inf,
-    gives -inf."""
+def logsumexp(a) -> float:
+    """log(sum(exp(a))) over every entry of `a`, shifted by the maximum so
+    that nothing overflows. An empty array, or one of only -inf, gives
+    -inf; NaN and +inf propagate."""
     a = np.asarray(a, dtype=float)
-    top = np.max(a, axis=axis, keepdims=True, initial=-math.inf)
-    top = np.where(np.isfinite(top), top, 0.0)
-    with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(a - top), axis=axis, keepdims=True)) + top
-    if axis is None:
-        return float(out.reshape(()))
-    return np.squeeze(out, axis=axis)
+    top = np.max(a, initial=-math.inf)
+    if not math.isfinite(top):
+        return float(top)
+    return float(np.log(np.sum(np.exp(a - top))) + top)
 
 
 #: log k! up to here is taken from the exact integer factorial; beyond it

@@ -29,6 +29,9 @@ from .rru import RruChainSpec, RruRates, transition_rates
 
 #: Refuse to enumerate more states than this.
 DEFAULT_STATE_CAP = 5_000_000
+#: Refuse to count states over a table of more cells than this; a cell is
+#: 8 bytes, or a Python integer once the count can pass 2**63.
+_COUNT_CELL_CAP = 2**25
 #: Dense generator assembly is quadratic in states; cap it separately.
 _GENERATOR_STATE_CAP = 5_000
 
@@ -153,13 +156,20 @@ def _walk(spec: AggregatorSpec, load_limit: float,
 
 def count_states(spec: AggregatorSpec) -> int:
     """Number of feasible occupancy vectors, `len(enumerate_states(spec))`,
-    counted over (active units, load in grid units) without listing them."""
+    counted over (active units, load in grid units) without listing them.
+    A table of more than `_COUNT_CELL_CAP` cells raises `CapacityError`."""
     steps = spec.rate_set.steps
     gmax = spec.grid_limit
     units = min(spec.cluster_size, gmax // steps[0])
     if units * steps[-1] <= gmax:
         # every vector fits the link: C(units + M, M) of them, no table
         return math.comb(units + len(steps), len(steps))
+    cells = (units + 1) * (gmax + 1)
+    if cells > _COUNT_CELL_CAP:
+        raise CapacityError(
+            f"counting states for N={spec.cluster_size}, G={gmax} needs a table of "
+            f"{cells} cells, over the {_COUNT_CELL_CAP}-cell cap"
+        )
     # machine integers where no count can pass C(units + M, M), the number
     # of vectors of at most `units` units: ~10x faster and smaller
     exact = np.int64 if math.comb(units + len(steps), len(steps)) < 2**63 else object
@@ -271,8 +281,8 @@ def blocking(spec: AggregatorSpec, binomial_n: str = "effective") -> BlockingRep
     link, so the summed weight of the states at load L (in grid units) is
     the coefficient [f^nb]_L. The idle units at load L weigh
     (N - nb) [f^nb]_L + nb [f^(nb-1)]_L, and the units at level l weigh
-    nb w_l [f^(nb-1)]_(L - s_l); a flow at load L is blocked when its
-    jump in load takes it past the grid limit.
+    nb w_l [f^(nb-1)]_(L - s_l); a flow is blocked at the loads L > G - jump,
+    so each level's blocked flow sums the suffix of its row from G + 1 - jump.
 
     Nearly all the time goes to those two powers (`_log_powers`): about
     nb · (M + 1) · G log-sum-exp terms below 32 units, and about
@@ -296,8 +306,8 @@ def blocking(spec: AggregatorSpec, binomial_n: str = "effective") -> BlockingRep
         flows[level, s:] = (log_fm1[:max(gmax + 1 - s, 0)] + math.log(nb) + log_w[level - 1]
                             + math.log(up[level]))
     log_offered = logsumexp(flows)
-    past = np.arange(gmax + 1) + np.array(spec.rate_set.jumps)[:, None] > gmax
-    log_blocked = logsumexp(np.where(past, flows, -math.inf), axis=1)
+    log_blocked = [logsumexp(row[max(gmax + 1 - jump, 0):])
+                   for row, jump in zip(flows, spec.rate_set.jumps)]
     per_rate = tuple(math.exp(b - log_offered) for b in log_blocked)
     log_z = logsumexp(log_f)
     return BlockingReport(

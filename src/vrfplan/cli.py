@@ -27,7 +27,7 @@ import time
 
 from . import aggregator, sim
 from .config import PlanningConfig, _is_int, config_from_dict, load_config
-from .errors import VrfError
+from .errors import CapacityError, VrfError
 
 log = logging.getLogger("vrfplan")
 
@@ -151,7 +151,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(f"normalized load a   {planning.traffic.a:g}")
     print(f"threshold gap       {planning.threshold_gap}")
     print(f"link capacity       {planning.link_capacity_mbps:g} Mbit/s")
-    print(f"feasible states     {aggregator.count_states(spec)}")
+    try:
+        states = aggregator.count_states(spec)
+    except CapacityError as exc:
+        states = f"not counted: {exc}"
+    print(f"feasible states     {states}")
     print(f"binomial convention {report.convention} (n = {report.binomial_n})")
     for i, p in enumerate(report.per_rate):
         print(f"P_B component {i}     {_fmt(p)}")

@@ -147,7 +147,7 @@ def _log_coefficients(spec: RruChainSpec, level: int) -> np.ndarray:
     users = spec.user_range(level)
     lo, f_l = users.start, users.stop - 1
     top = level == spec.level_count
-    r_l = f_l if top else spec.thresholds.reverse[level - 1]
+    r_l = f_l if top else spec.reverse_before(level + 1)
     gateway = lo if level == 1 else spec.forward_at(level - 1) + 1
     lt = np.zeros(r_l - lo + 1)
     # re-entry: up from p_lo = 1 to the gateway

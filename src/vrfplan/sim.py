@@ -39,6 +39,7 @@ whatever the block size, on a given platform and numpy build.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from collections.abc import Callable, Iterator
@@ -341,8 +342,9 @@ def run(config: SimConfig) -> SimStats:
     occupancy = {code: occupancy_rates()}
     c_now, num_rate, den_rate = occupancy[code]
 
-    arrival_times, arrival_units = next(windows)
-    ai, na = 0, len(arrival_times)
+    # the next arrival, as (time, unit), read off the windows in turn
+    arrivals = itertools.chain.from_iterable(zip(*w) for w in windows)
+    t_arr, r_arr = next(arrivals)
     holds, picks = draw()
     di = 0
     busy = 0
@@ -360,10 +362,6 @@ def run(config: SimConfig) -> SimStats:
         arr = acc = rru = fha = att = 0
         c_int = f_num = f_den = 0.0
         while processed < end:
-            if ai == na:
-                arrival_times, arrival_units = next(windows)
-                ai, na = 0, len(arrival_times)
-            t_arr = arrival_times[ai]
             move = 0
 
             if t_exp <= t_arr and t_exp <= t_dep:
@@ -409,9 +407,8 @@ def run(config: SimConfig) -> SimStats:
                         t_exp = expiries[0][0]
 
             else:
-                t = t_arr
-                r = arrival_units[ai]
-                ai += 1
+                t, r = t_arr, r_arr
+                t_arr, r_arr = next(arrivals)
                 processed += 1
                 arr += 1
                 cur = users[r]

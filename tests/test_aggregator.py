@@ -14,6 +14,7 @@ import pytest
 
 from vrfplan import (
     AggregatorSpec,
+    CapacityError,
     InvalidConfigError,
     RateSet,
     blocking,
@@ -344,6 +345,21 @@ def test_count_states_is_exact_past_machine_integers():
                                   rates=rates)
             assert count_states(spec) == math.comb(n + 20, 20) - refused
     assert math.comb(80, 20) < 2**63 < math.comb(90, 20)
+
+
+def test_count_states_refuses_an_oversized_table(monkeypatch):
+    # 17 units on a 32-unit grid: a table of 18 x 33 = 594 cells
+    spec = spec_from_planning(config_from_dict({"a": 0.25, "n_d": 3, "cluster_size": 17}))
+    monkeypatch.setattr(aggregator, "_COUNT_CELL_CAP", 594)
+    assert count_states(spec) == 699
+    monkeypatch.setattr(aggregator, "_COUNT_CELL_CAP", 593)
+    with pytest.raises(CapacityError, match=r"N=17, G=32 needs a table of 594 cells"):
+        count_states(spec)
+    # an unbounded link is counted in closed form, with no table
+    unbounded = spec_from_planning(config_from_dict(
+        {"a": 0.25, "n_d": 3, "cluster_size": 17, "fha_capacity_mbps": math.inf}))
+    monkeypatch.setattr(aggregator, "_COUNT_CELL_CAP", 0)
+    assert count_states(unbounded) == math.comb(20, 3)
 
 
 # ---------------------------------------------------------------------------

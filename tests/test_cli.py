@@ -98,6 +98,17 @@ def test_analyze_writes_csv_row(tmp_path, capsys):
                         rel_tol=1e-8)
 
 
+def test_analyze_prints_blocking_when_the_state_count_is_refused(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, a=0.25, n_d=3, cluster_size=17)
+    main(["analyze", "--config", cfg])
+    counted = capsys.readouterr().out
+    monkeypatch.setattr(vrfplan.aggregator, "_COUNT_CELL_CAP", 0)
+    assert main(["analyze", "--config", cfg]) == 0
+    refused = capsys.readouterr().out
+    assert "feasible states     not counted: counting states for N=17, G=32" in refused
+    assert refused.split("binomial")[1] == counted.split("binomial")[1]
+
+
 def test_analyze_exit_codes(tmp_path, capsys):
     assert main(["analyze", "--config", str(tmp_path / "missing.json")]) == 2
     bad = write_config(tmp_path, a=1.5, n_d=3, cluster_size=17)
