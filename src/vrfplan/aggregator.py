@@ -8,16 +8,20 @@ share of offered level-upgrade flow (wake-ups included) that lands in
 states where the needed extra bandwidth does not fit.
 
 Every rate is an integer multiple of the rate set's grid unit, so a load
-is an integer on a grid that ends at the rate set's grid limit. Blocking
+is an integer on a grid that ends at the rate set's grid limit G. Blocking
 and the state count are convolutions over that grid, and no state is
-listed. The enumerated state space (`enumerate_states`, `product_form`,
-`build_generator`, `detailed_balance_check`) is the oracle for that path;
-only the suites of `vrfplan.oracle` and the tests use it.
+listed. Blocking reads the powers of one unit's polynomial, built from
+tilted probabilities by direct convolutions of positive terms: its cost
+grows as log(N) G^2, not with the state count. The enumerated state
+space (`enumerate_states`, `product_form`, `build_generator`,
+`detailed_balance_check`) is the oracle for that path; only the suites
+of `vrfplan.oracle` and the tests use it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,9 +33,9 @@ from .rru import RruChainSpec, RruRates, transition_rates
 
 #: Refuse to enumerate more states than this.
 DEFAULT_STATE_CAP = 5_000_000
-#: Refuse to count states over a table of more cells than this; a cell is
-#: 8 bytes, or a Python integer once the count can pass 2**63.
-_COUNT_CELL_CAP = 2**25
+#: Refuse to count states over a table of more bytes than this: 8 a cell
+#: for int64, or a pointer and a Python integer once a count can pass 2**63.
+_COUNT_BYTE_CAP = 2**28
 #: Dense generator assembly is quadratic in states; cap it separately.
 _GENERATOR_STATE_CAP = 5_000
 
@@ -157,22 +161,25 @@ def _walk(spec: AggregatorSpec, load_limit: float,
 def count_states(spec: AggregatorSpec) -> int:
     """Number of feasible occupancy vectors, `len(enumerate_states(spec))`,
     counted over (active units, load in grid units) without listing them.
-    A table of more than `_COUNT_CELL_CAP` cells raises `CapacityError`."""
+    A table of more than `_COUNT_BYTE_CAP` bytes raises `CapacityError`."""
     steps = spec.rate_set.steps
     gmax = spec.grid_limit
     units = min(spec.cluster_size, gmax // steps[0])
+    # the number of vectors of at most `units` units, which bounds every count
+    most = math.comb(units + len(steps), len(steps))
     if units * steps[-1] <= gmax:
-        # every vector fits the link: C(units + M, M) of them, no table
-        return math.comb(units + len(steps), len(steps))
+        # every vector fits the link: all of them, no table
+        return most
     cells = (units + 1) * (gmax + 1)
-    if cells > _COUNT_CELL_CAP:
+    # machine integers where no count can pass `most`: ~10x faster and
+    # smaller; past 2**63 a cell points to an integer of up to `most`'s size
+    exact = np.int64 if most < 2**63 else object
+    size = cells * (8 if exact is np.int64 else 8 + sys.getsizeof(most))
+    if size > _COUNT_BYTE_CAP:
         raise CapacityError(
             f"counting states for N={spec.cluster_size}, G={gmax} needs a table of "
-            f"{cells} cells, over the {_COUNT_CELL_CAP}-cell cap"
+            f"{cells} cells, {size} bytes, over the {_COUNT_BYTE_CAP}-byte cap"
         )
-    # machine integers where no count can pass C(units + M, M), the number
-    # of vectors of at most `units` units: ~10x faster and smaller
-    exact = np.int64 if math.comb(units + len(steps), len(steps)) < 2**63 else object
     counts = np.zeros((units + 1, gmax + 1), dtype=exact)
     counts[0, 0] = 1
     for s in steps:
@@ -284,10 +291,10 @@ def blocking(spec: AggregatorSpec, binomial_n: str = "effective") -> BlockingRep
     nb w_l [f^(nb-1)]_(L - s_l); a flow is blocked at the loads L > G - jump,
     so each level's blocked flow sums the suffix of its row from G + 1 - jump.
 
-    Nearly all the time goes to those two powers (`_log_powers`): about
-    nb · (M + 1) · G log-sum-exp terms below 32 units, and about
-    nb · s_M · G exponentials, in (nb - 1) / b array passes of b units
-    each, from there on (G the grid limit, s_M the top rate's step).
+    Nearly all the time goes to those two powers (`_log_powers`): one or
+    two tilts, each about 2 log2(nb) direct convolutions of at most G + 1
+    loads (G the grid limit), so at most about 4 log2(nb) (G + 1)^2
+    multiply-adds, with no exponential per term.
     """
     nb = _binomial_count(spec, binomial_n)
     steps = spec.rate_set.steps
@@ -320,26 +327,9 @@ def blocking(spec: AggregatorSpec, binomial_n: str = "effective") -> BlockingRep
     )
 
 
-#: Below this many units f^nb is built one unit at a time.
-_BLOCKED_FROM = 32
-#: Largest load span b * s_M of one block f^b, which bounds the scratch
-#: of a block product at _MAX_SPAN + 1 rows of the grid.
-_MAX_SPAN = 64
-#: Terms this far below their load's largest are raised to it before
-#: `exp`: each is then under 1e-304 and cannot move a sum of at least 1,
-#: and `exp` never takes its slow path to a subnormal or zero result.
-_EXP_FLOOR = -700.0
-
-
-def _block_size(nb: int, top_step: int) -> int:
-    """Units per block: 1 below `_BLOCKED_FROM` units, else the power of
-    two nearest sqrt(nb)/2 (on a log scale), halved until its span
-    b * s_M fits `_MAX_SPAN`."""
-    b = 1
-    if nb >= _BLOCKED_FROM:
-        while 8 * b * b <= nb and 2 * b * top_step <= _MAX_SPAN:
-            b *= 2
-    return b
+#: Tilted probabilities below the smallest normal float read -inf: a
+#: subnormal has lost digits.
+_RESOLVED = np.finfo(float).tiny
 
 
 def _log_powers(log_w: np.ndarray, steps: tuple[int, ...], gmax: int,
@@ -347,77 +337,96 @@ def _log_powers(log_w: np.ndarray, steps: tuple[int, ...], gmax: int,
     """Log coefficients of f^(nb-1) and f^nb up to x^gmax, where
     f(x) = 1 + sum_l w_l x^(s_l) is one unit: off, or at level l.
 
-    Below `_BLOCKED_FROM` units the powers are built one unit at a time
-    (`_times_unit`). From there on they are built a block of b units at a
-    time: f^b and f^r, r = (nb - 1) mod b, come from b unit steps on the
-    block's span, each of the (nb - 1) // b block products (`_times_block`)
-    adds b units, and one unit step gives f^nb. Every product adds only
-    positive terms, so every coefficient keeps its relative accuracy
-    however small it is, and the fewer products round fewer times.
+    Tilted by t, one unit is the probability vector p_(s_l) =
+    w_l e^(t s_l) / f(e^t), p_0 = 1 / f(e^t), and
+    [f^n]_L = f(e^t)^n e^(-L t) [p^n]_L. p^(nb-1) comes from binary
+    powering by direct convolutions cut at x^gmax, p^nb from one more
+    product by p. Every product adds only positive terms, so a coefficient
+    keeps its relative accuracy while its tilted probability is a normal
+    float (below `_RESOLVED` it reads -inf), and a zero stays exactly zero.
+
+    Each load takes the larger probability of t = 0 and, when G < nb s_M
+    and nb units' mean load lies outside [G - s_M, G], the tilt that puts
+    that mean at G: that one resolves the loads near G, where `blocking`
+    reads the blocked flows, however far in a tail of t = 0 they lie, and
+    t = 0 the top of a power that ends near G. A load just under G in a
+    lattice hole (an odd load under 1 + e^-500 x + e^500 x^2) may still
+    read -inf: under every tilt it is more than the float range below a
+    load past G.
+
+    A tilt costs about 2 log2(nb) convolutions of up to (G + 1)^2
+    multiply-adds, and a few rows of 2G + 1 floats.
     """
-    terms = np.full((len(steps) + 1, gmax + 1), -math.inf)
-    b = _block_size(nb, steps[-1])
-    if b == 1:
-        g = np.full(gmax + 1, -math.inf)
-        g[0] = 0.0
-        for _ in range(nb - 1):
-            g = _times_unit(g, log_w, steps, terms)
-    else:
-        span = min(b * steps[-1], gmax)
-        blocks, rest = divmod(nb - 1, b)
-        # g sits at padded[span:], so that padded[j:j + gmax + 1] is g
-        # shifted up by span - j loads
-        padded = np.full(span + gmax + 1, -math.inf)
-        padded[span] = 0.0
-        block = padded[span:2 * span + 1]
-        for i in range(b):
-            if i == rest:
-                padded[span:2 * span + 1] = block
-            block = _times_unit(block, log_w, steps, terms[:, :span + 1])
-        windows = np.lib.stride_tricks.sliding_window_view(padded, gmax + 1)
-        scratch = np.empty((span + 1, gmax + 1))
-        kernel = np.ascontiguousarray(block[::-1, None])
-        degree = rest * steps[-1]
-        for _ in range(blocks):
-            # f^n is zero above n * s_M: only the loads up to there are summed
-            degree = min(degree + span, gmax)
-            padded[span:span + degree + 1] = _times_block(windows[:, :degree + 1], kernel,
-                                                          scratch[:, :degree + 1])
-        g = padded[span:]
-    return g, _times_unit(g, log_w, steps, terms)
+    unit = list(zip((0,) + steps, [0.0] + log_w.tolist()))
+    log_z, mean, _ = _tilted(unit, 0.0)
+    tilts = [(0.0, log_z)]
+    if gmax < nb * steps[-1] and not gmax - steps[-1] <= nb * mean <= gmax:
+        # a grid of load 0 alone (G = 0) tilts to half a load
+        t = _tilt(unit, max(gmax, 0.5) / nb)
+        tilts.append((t, _tilted(unit, t)[0]))
+    loads = np.arange(gmax + 1)
+    out = np.full((2, gmax + 1), -math.inf)
+    best = np.zeros((2, gmax + 1))
+    for t, log_z in tilts:
+        p = np.zeros(min(steps[-1], gmax) + 1)
+        for s, lw in unit:
+            if s <= gmax:
+                p[s] = math.exp(lw + t * s - log_z)
+        power, base, k = np.ones(1), p, nb - 1
+        while k:
+            if k & 1:
+                power = np.convolve(power, base)[:gmax + 1]
+            k >>= 1
+            if k:
+                base = np.convolve(base, base)[:gmax + 1]
+        for row, (n, prob) in enumerate(((nb - 1, power),
+                                         (nb, np.convolve(power, p)[:gmax + 1]))):
+            span = len(prob)
+            better = (prob >= _RESOLVED) & (prob > best[row, :span])
+            best[row, :span][better] = prob[better]
+            out[row, :span][better] = (n * log_z - loads[:span][better] * t
+                                       + np.log(prob[better]))
+    return out[0], out[1]
 
 
-def _times_unit(g: np.ndarray, log_w: np.ndarray, steps: tuple[int, ...],
-                terms: np.ndarray) -> np.ndarray:
-    """Log coefficients of g·f: one log-sum-exp over the unit's M + 1
-    states. `terms` is scratch of (M + 1) rows as wide as g, -inf below
-    each row's step."""
-    terms[0] = g
-    for row, (lw, s) in enumerate(zip(log_w, steps), start=1):
-        terms[row, s:] = g[:max(len(g) - s, 0)] + lw
-    return np.logaddexp.reduce(terms, axis=0)
+def _tilted(unit: list[tuple[int, float]], t: float) -> tuple[float, float, float]:
+    """log f(e^t), and the mean and variance of one unit's load tilted by
+    t, for the unit's states as (load, log weight) pairs."""
+    logs = [lw + t * s for s, lw in unit]
+    top = max(logs)
+    weights = [math.exp(x - top) for x in logs]
+    total = sum(weights)
+    mean = sum(w * s for w, (s, _) in zip(weights, unit)) / total
+    var = sum(w * (s - mean) ** 2 for w, (s, _) in zip(weights, unit)) / total
+    return top + math.log(total), mean, var
 
 
-def _times_block(windows: np.ndarray, kernel: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Log coefficients of g·h for a block h of span k = len(kernel) - 1.
+def _tilt(unit: list[tuple[int, float]], mean: float) -> float:
+    """A tilt at which one unit's mean load is `mean` (0 < mean < s_M)
+    within 1e-3 of its distance to either end.
 
-    `windows[j]` is g shifted up by k - j loads (-inf below the shift) and
-    `kernel[j]` is the log coefficient k - j of h, so row j of `scratch`
-    holds every term with that coefficient of h. Each load's terms are
-    shifted by their maximum, so their sum lies in [1, k + 1]; a load with
-    no term stays -inf."""
-    np.add(windows, kernel, out=scratch)
-    top = scratch.max(axis=0)
-    empty = top == -math.inf
-    top[empty] = 0.0
-    scratch -= top
-    np.maximum(scratch, _EXP_FLOOR, out=scratch)
-    np.exp(scratch, out=scratch)
-    out = scratch.sum(axis=0)
-    np.log(out, out=out)
-    out += top
-    out[empty] = -math.inf
-    return out
+    Newton steps on t, each kept inside a bisection bracket. The bracket
+    starts from bounds on the tilted mean m(t): m(t) <= s_M W e^t for
+    t <= 0, with W the sum of the level weights, and
+    s_M - m(t) <= s_M e^(-t) (1 + W') / w_M for t >= 0, with W' the sum
+    of the weights below the top level."""
+    s_top, log_top = unit[-1]
+    lo = min(0.0, math.log(mean / s_top) - _tilted(unit[1:], 0.0)[0])
+    hi = max(0.0, math.log(s_top / (s_top - mean)) + _tilted(unit[:-1], 0.0)[0] - log_top)
+    tol = 1e-3 * min(mean, s_top - mean)
+    t = 0.0
+    while True:
+        _, m, var = _tilted(unit, t)
+        if abs(m - mean) <= tol:
+            return t
+        if m < mean:
+            lo = t
+        else:
+            hi = t
+        step = t - (m - mean) / var if var > 0.0 else math.nan
+        t = step if lo < step < hi else 0.5 * (lo + hi)
+        if not lo < t < hi:
+            return t    # the bracket is down to two adjacent floats
 
 
 def detailed_balance_check(

@@ -19,13 +19,15 @@ pinned at its forward threshold. On the two-unit joint chain of
 `util.TwoUnitExact` (link 350) the model gives a censored-flow share of
 0.3089 against the exact 0.3279, which the simulator matches (test_sim).
 The check reports the gap instead of loosening its tolerance; see the
-README.
+README. Both simulation checks carry the `slow` marker, so that
+`pytest -m "not slow"` leaves them out.
 """
 
 import math
 import time
 
 import numpy as np
+import pytest
 
 from vrfplan import SimConfig, aggregator, config_from_dict, oracle, rru, sim
 from vrfplan.cli import _coordinate_seed
@@ -250,6 +252,7 @@ def test_wider_hysteresis_gap_never_reduces_blocking(record_check):
 # ---------------------------------------------------------------------------
 # 7. simulation agrees with the analytics across the load grid
 
+@pytest.mark.slow
 def test_simulation_confirms_analytics_across_load_grid(record_check):
     t0 = time.perf_counter()
     failures = []
@@ -300,6 +303,7 @@ def test_simulation_confirms_analytics_across_load_grid(record_check):
 # ---------------------------------------------------------------------------
 # 8. heavier interarrival tails block less, lighter tails block more
 
+@pytest.mark.slow
 def test_interarrival_shape_orders_blocking(record_check):
     t0 = time.perf_counter()
     failures = []

@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import itertools
 import math
+import sys
 import time
 import tracemalloc
 from decimal import Decimal
@@ -31,7 +32,7 @@ from vrfplan.aggregator import (
     product_form,
 )
 
-from enumerated_oracle import enumerated_blocking
+from enumerated_oracle import enumerated_blocking, log_space_blocking
 from util import engset_marginal, mk_chain, rate_level_distribution
 
 
@@ -350,15 +351,15 @@ def test_count_states_is_exact_past_machine_integers():
 def test_count_states_refuses_an_oversized_table(monkeypatch):
     # 17 units on a 32-unit grid: a table of 18 x 33 = 594 cells
     spec = spec_from_planning(config_from_dict({"a": 0.25, "n_d": 3, "cluster_size": 17}))
-    monkeypatch.setattr(aggregator, "_COUNT_CELL_CAP", 594)
+    monkeypatch.setattr(aggregator, "_COUNT_BYTE_CAP", 594 * 8)
     assert count_states(spec) == 699
-    monkeypatch.setattr(aggregator, "_COUNT_CELL_CAP", 593)
-    with pytest.raises(CapacityError, match=r"N=17, G=32 needs a table of 594 cells"):
+    monkeypatch.setattr(aggregator, "_COUNT_BYTE_CAP", 594 * 8 - 1)
+    with pytest.raises(CapacityError, match=r"N=17, G=32 needs a table of 594 cells, 4752 bytes"):
         count_states(spec)
     # an unbounded link is counted in closed form, with no table
     unbounded = spec_from_planning(config_from_dict(
         {"a": 0.25, "n_d": 3, "cluster_size": 17, "fha_capacity_mbps": math.inf}))
-    monkeypatch.setattr(aggregator, "_COUNT_CELL_CAP", 0)
+    monkeypatch.setattr(aggregator, "_COUNT_BYTE_CAP", 0)
     assert count_states(unbounded) == math.comb(20, 3)
 
 
@@ -500,3 +501,64 @@ def test_hundreds_of_units_on_a_fat_link(monkeypatch):
         assert np.isfinite(parts).all() and ((parts >= 0.0) & (parts <= 1.0)).all()
         assert math.fsum(report.per_rate) == pytest.approx(report.total, rel=1e-12)
         assert 0.0 < report.total < 1.0
+
+
+# ---------------------------------------------------------------------------
+# tilted powers against the log-space oracle
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.slow
+def test_blocking_matches_the_log_space_oracle_across_loads_links_and_sizes():
+    for a, n_d, gbps, n, gap in itertools.product((0.05, 0.1, 0.25, 0.5, 0.8), range(1, 6),
+                                                  (2.5, 10, 25, 100, 200),
+                                                  (32, 40, 64, 120, 250, 600), (1, 2)):
+        spec = spec_from_planning(config_from_dict(
+            {"a": a, "n_d": n_d, "cluster_size": n, "threshold_gap": gap,
+             "fha_capacity_mbps": gbps * 1000.0}))
+        never_blocks = n * spec.rate_set.steps[-1] <= spec.grid_limit
+        for conv in ("effective", "true"):
+            got = blocking(spec, conv)
+            want = log_space_blocking(spec, conv)
+            _assert_reports_close(got, want, 1e-10)
+            if never_blocks:
+                assert got.per_rate == (0.0,) * n_d and got.total == 0.0
+            else:
+                # positive unless P_B lies below the float range, where
+                # the log-space oracle reads 0 too
+                assert got.total > 0.0 or want.total == 0.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_blocking_near_the_float_range_on_a_terabit_link():
+    # 2 000 units on a 1 Tbit/s link: G = 13 020 loads and P_B ~ 3.7e-296
+    spec = spec_from_planning(config_from_dict(
+        {"a": 0.2, "n_d": 5, "cluster_size": 2000, "fha_capacity_mbps": 1e6}))
+    assert spec.grid_limit == 13020
+    for conv in ("effective", "true"):
+        got = blocking(spec, conv)
+        assert 1e-296 < got.total < 1e-295
+        assert all(p > 0.0 for p in got.per_rate)
+        _assert_reports_close(got, log_space_blocking(spec, conv), 1e-9)
+
+
+@pytest.mark.slow
+def test_count_states_table_stays_within_its_byte_count(monkeypatch):
+    # a 20-level ladder (100-2 000 Mbit/s) at N = 300 on 300 Gbit/s: counts
+    # pass 2**63, so the 301 x 3 001 cells hold Python integers
+    rate_set = RateSet(rates=tuple(100.0 * k for k in range(1, 21)), capacities=tuple(range(1, 21)))
+    spec = AggregatorSpec(cluster_size=300, rate_set=rate_set, link_capacity_mbps=300000.0,
+                          rates=rru.RruRates(up=(2.0,) + (1.0,) * 19, down=(1.0,) * 20))
+    most = math.comb(320, 20)
+    assert most > 2**63
+    size = 301 * 3001 * (8 + sys.getsizeof(most))
+    tracemalloc.start()
+    try:
+        counted = count_states(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < counted < most
+    assert peak <= size
+    monkeypatch.setattr(aggregator, "_COUNT_BYTE_CAP", size - 1)
+    with pytest.raises(CapacityError, match=rf"903301 cells, {size} bytes"):
+        count_states(spec)

@@ -102,10 +102,12 @@ def test_analyze_prints_blocking_when_the_state_count_is_refused(tmp_path, capsy
     cfg = write_config(tmp_path, a=0.25, n_d=3, cluster_size=17)
     main(["analyze", "--config", cfg])
     counted = capsys.readouterr().out
-    monkeypatch.setattr(vrfplan.aggregator, "_COUNT_CELL_CAP", 0)
+    # the 18 x 33 int64 cells of the table take 4 752 bytes
+    monkeypatch.setattr(vrfplan.aggregator, "_COUNT_BYTE_CAP", 4751)
     assert main(["analyze", "--config", cfg]) == 0
     refused = capsys.readouterr().out
-    assert "feasible states     not counted: counting states for N=17, G=32" in refused
+    assert ("feasible states     not counted: counting states for N=17, G=32 needs a table "
+            "of 594 cells, 4752 bytes, over the 4751-byte cap") in refused
     assert refused.split("binomial")[1] == counted.split("binomial")[1]
 
 
