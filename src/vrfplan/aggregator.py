@@ -90,6 +90,9 @@ class BlockingReport:
     units; `per_rate[m]` for m >= 1 to upgrades out of level m. Each
     component is that flow's blocked fraction of the total offered
     upgrade flow, so the components sum to `total` and all lie in [0, 1].
+    `log_total` is the natural log of the total, resolved where `total`
+    underflows to 0.0; it is -inf only when the link never blocks
+    (N s_M <= G).
     """
 
     per_rate: tuple[float, ...]
@@ -98,6 +101,7 @@ class BlockingReport:
     offered_flow: float
     blocked_flow: float
     convention: str
+    log_total: float
 
 
 def _binomial_count(spec: AggregatorSpec, convention: str) -> int:
@@ -291,10 +295,13 @@ def blocking(spec: AggregatorSpec, binomial_n: str = "effective") -> BlockingRep
     nb w_l [f^(nb-1)]_(L - s_l); a flow is blocked at the loads L > G - jump,
     so each level's blocked flow sums the suffix of its row from G + 1 - jump.
 
-    Nearly all the time goes to those two powers (`_log_powers`): one or
-    two tilts, each about 2 log2(nb) direct convolutions of at most G + 1
-    loads (G the grid limit), so at most about 4 log2(nb) (G + 1)^2
-    multiply-adds, with no exponential per term.
+    Nearly all the time goes to those two powers (`_log_powers`): t = 0,
+    and a second tilt only where t = 0 leaves the loads near the grid
+    limit G unresolved; each tilt is about 2 log2(nb) direct convolutions
+    of at most G + 1 loads, at most about 3/4 (G + 1)^2 multiply-adds
+    each, with no exponential per term. `log_total` is log P_B from the
+    same log flows, finite wherever the link blocks, even where `total`
+    underflows to 0.0.
     """
     nb = _binomial_count(spec, binomial_n)
     steps = spec.rate_set.steps
@@ -316,6 +323,10 @@ def blocking(spec: AggregatorSpec, binomial_n: str = "effective") -> BlockingRep
     log_blocked = [logsumexp(row[max(gmax + 1 - jump, 0):])
                    for row, jump in zip(flows, spec.rate_set.jumps)]
     per_rate = tuple(math.exp(b - log_offered) for b in log_blocked)
+    # a few floats: plain math, not numpy's per-call overhead
+    top = max(log_blocked)
+    log_total = -math.inf if top == -math.inf else (
+        top - log_offered + math.log(math.fsum(math.exp(b - top) for b in log_blocked)))
     log_z = logsumexp(log_f)
     return BlockingReport(
         per_rate=per_rate,
@@ -324,12 +335,24 @@ def blocking(spec: AggregatorSpec, binomial_n: str = "effective") -> BlockingRep
         offered_flow=math.exp(log_offered - log_z),
         blocked_flow=math.fsum(math.exp(b - log_z) for b in log_blocked),
         convention=binomial_n,
+        log_total=log_total,
     )
 
 
-#: Tilted probabilities below the smallest normal float read -inf: a
-#: subnormal has lost digits.
-_RESOLVED = np.finfo(float).tiny
+#: A product drops its leading probabilities below the smallest normal
+#: float (`_times`): they are subnormal or zero.
+_UNDERFLOW = np.finfo(float).tiny
+#: Tilted probabilities below this read -inf. What n unit factors dropped
+#: or underflowed moves a probability of p^n by about n `_UNDERFLOW`
+#: (see `_times`), a relative n eps from here on: the order of the
+#: rounding of the sums themselves.
+_RESOLVED = _UNDERFLOW / np.finfo(float).eps
+#: A product whose full length passes the grid splits its shorter factor
+#: in halves from this many loads a half (`_times`).
+_SPLIT_FROM = 64
+#: A power whose t = 0 probabilities at the loads G - s_M..G all lie below
+#: this leaves the grid edge to a tilt at G (see `_log_powers`).
+_EDGE_RESOLVED = 1e-20
 
 
 def _log_powers(log_w: np.ndarray, steps: tuple[int, ...], gmax: int,
@@ -340,53 +363,104 @@ def _log_powers(log_w: np.ndarray, steps: tuple[int, ...], gmax: int,
     Tilted by t, one unit is the probability vector p_(s_l) =
     w_l e^(t s_l) / f(e^t), p_0 = 1 / f(e^t), and
     [f^n]_L = f(e^t)^n e^(-L t) [p^n]_L. p^(nb-1) comes from binary
-    powering by direct convolutions cut at x^gmax, p^nb from one more
-    product by p. Every product adds only positive terms, so a coefficient
-    keeps its relative accuracy while its tilted probability is a normal
-    float (below `_RESOLVED` it reads -inf), and a zero stays exactly zero.
+    powering by direct convolutions cut at x^gmax (`_times`), p^nb from
+    one more product by p. Every product adds only positive terms, so a
+    coefficient keeps its relative accuracy while its tilted probability
+    is at least `_RESOLVED` (below it reads -inf), and a zero stays
+    exactly zero.
 
-    Each load takes the larger probability of t = 0 and, when G < nb s_M
-    and nb units' mean load lies outside [G - s_M, G], the tilt that puts
-    that mean at G: that one resolves the loads near G, where `blocking`
-    reads the blocked flows, however far in a tail of t = 0 they lie, and
-    t = 0 the top of a power that ends near G. A load just under G in a
+    t = 0 comes first. A row's probabilities sum to at most 1, so its
+    largest over the loads 0..G + s_M is at least its largest, P_edge,
+    over the edge G - s_M..G, and a coefficient within e^-600 of the
+    largest over 0..G + s_M (the contract of `tests/test_log_powers.py`)
+    has P >= e^-600 P_edge. With P_edge >= `_EDGE_RESOLVED` that is at
+    least e^-600 1e-20 ~ 2.6e-281, while what the products underflowed or
+    dropped moves it by about nb `_UNDERFLOW` (`_times`), under 1e-302 up
+    to 10^5 units: the row is resolved. Only when G < nb s_M and a row's
+    edge lies below `_EDGE_RESOLVED` is the tilt that puts nb units' mean
+    load at G added; it resolves the loads near G, where `blocking` reads
+    the blocked flows, however far in a tail of t = 0 they lie, and each
+    load takes the tilt with the larger P. A load just under G in a
     lattice hole (an odd load under 1 + e^-500 x + e^500 x^2) may still
     read -inf: under every tilt it is more than the float range below a
     load past G.
 
-    A tilt costs about 2 log2(nb) convolutions of up to (G + 1)^2
-    multiply-adds, and a few rows of 2G + 1 floats.
+    A tilt costs about 2 log2(nb) convolutions of at most about
+    3/4 (G + 1)^2 multiply-adds each, fewer where a low tail underflowed,
+    and a few rows of 2G + 1 floats.
     """
     unit = list(zip((0,) + steps, [0.0] + log_w.tolist()))
-    log_z, mean, _ = _tilted(unit, 0.0)
-    tilts = [(0.0, log_z)]
-    if gmax < nb * steps[-1] and not gmax - steps[-1] <= nb * mean <= gmax:
+    tilts = [_tilted_powers(unit, 0.0, gmax, nb)]
+    edge = gmax - steps[-1]
+    # a row of t = 0 whose loads G - s_M..G all lie below _EDGE_RESOLVED
+    if gmax < nb * steps[-1] and any((prob[max(edge - first, 0):] < _EDGE_RESOLVED).all()
+                                     for _, prob, first in tilts[0][2]):
         # a grid of load 0 alone (G = 0) tilts to half a load
-        t = _tilt(unit, max(gmax, 0.5) / nb)
-        tilts.append((t, _tilted(unit, t)[0]))
+        tilts.append(_tilted_powers(unit, _tilt(unit, max(gmax, 0.5) / nb), gmax, nb))
     loads = np.arange(gmax + 1)
     out = np.full((2, gmax + 1), -math.inf)
     best = np.zeros((2, gmax + 1))
-    for t, log_z in tilts:
-        p = np.zeros(min(steps[-1], gmax) + 1)
-        for s, lw in unit:
-            if s <= gmax:
-                p[s] = math.exp(lw + t * s - log_z)
-        power, base, k = np.ones(1), p, nb - 1
-        while k:
-            if k & 1:
-                power = np.convolve(power, base)[:gmax + 1]
-            k >>= 1
-            if k:
-                base = np.convolve(base, base)[:gmax + 1]
-        for row, (n, prob) in enumerate(((nb - 1, power),
-                                         (nb, np.convolve(power, p)[:gmax + 1]))):
-            span = len(prob)
-            better = (prob >= _RESOLVED) & (prob > best[row, :span])
-            best[row, :span][better] = prob[better]
-            out[row, :span][better] = (n * log_z - loads[:span][better] * t
-                                       + np.log(prob[better]))
+    for t, log_z, rows in tilts:
+        for row, (n, prob, first) in enumerate(rows):
+            span = slice(first, first + len(prob))
+            better = (prob >= _RESOLVED) & (prob > best[row, span])
+            best[row, span][better] = prob[better]
+            out[row, span][better] = n * log_z - loads[span][better] * t + np.log(prob[better])
     return out[0], out[1]
+
+
+def _tilted_powers(unit: list[tuple[int, float]], t: float, gmax: int, nb: int):
+    """(t, log f(e^t), rows): the rows (n, probabilities, first load) of
+    p^(nb-1) and p^nb up to x^gmax for the unit tilted by t."""
+    log_z = _tilted(unit, t)[0]
+    p = np.zeros(min(unit[-1][0], gmax) + 1)
+    for s, lw in unit:
+        if s <= gmax:
+            p[s] = math.exp(lw + t * s - log_z)
+    power, base, k = (np.ones(1), 0), (p, 0), nb - 1
+    while k:
+        if k & 1:
+            power = _times(*power, *base, gmax)
+        k >>= 1
+        if k:
+            base = _times(*base, *base, gmax)
+    return t, log_z, [(nb - 1, *power), (nb, *_times(*power, p, 0, gmax))]
+
+
+def _times(a: np.ndarray, a_first: int, b: np.ndarray, b_first: int,
+           gmax: int) -> tuple[np.ndarray, int]:
+    """The product of two probability rows, given with their first loads,
+    cut at x^gmax and with its leading probabilities below `_UNDERFLOW`
+    dropped, as (row, first load); a row of nothing starts past gmax.
+    A row sums to at most 1, so what is missing from a factor moves no
+    entry of the product by more than the factor's largest missing entry;
+    each product of binary powering adds at most `_UNDERFLOW` to that, and
+    p^n, made of n unit factors, about n `_UNDERFLOW` in all.
+
+    When the full product would pass gmax, the shorter factor b is split
+    in halves: its upper half meets only the part of a that lands at or
+    under gmax, which saves up to a quarter of the multiply-adds."""
+    first = a_first + b_first
+    if first > gmax:
+        return np.zeros(0), gmax + 1
+    keep = gmax + 1 - first
+    if len(a) < len(b):
+        a, b = b, a
+    half = len(b) // 2
+    if _SPLIT_FROM <= half < keep < len(a) + len(b) - 1:
+        prod = np.zeros(keep)
+        low = np.convolve(a, b[:half])[:keep]
+        prod[:len(low)] = low
+        prod[half:] += np.convolve(a[:keep - half], b[half:])[:keep - half]
+    else:
+        prod = np.convolve(a, b)[:keep]
+    if prod[0] < _UNDERFLOW:
+        normal = prod >= _UNDERFLOW
+        lead = int(normal.argmax())
+        if not normal[lead]:
+            return np.zeros(0), gmax + 1
+        prod, first = prod[lead:], first + lead
+    return prod, first
 
 
 def _tilted(unit: list[tuple[int, float]], t: float) -> tuple[float, float, float]:

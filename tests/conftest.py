@@ -8,6 +8,15 @@ import pytest
 # start-up time reads the same there as on a fresh checkout
 sys.dont_write_bytecode = True
 
+
+def keep_no_bytecode() -> None:
+    """Initializer of a test's spawned worker processes. Unpickling it
+    imports this module, which sets the flag above before the worker
+    imports the package; it lives here because this module imports no
+    package module."""
+    sys.dont_write_bytecode = True
+
+
 _RECORDED: list[str] = []
 
 

@@ -65,13 +65,15 @@ def enumerated_blocking(
     offered = float(sum((f * probs).sum() for f in flows))
     blocked_parts = [float((f * probs)[mask].sum()) for f, mask in zip(flows, blocked_masks)]
     per_rate = tuple(part / offered for part in blocked_parts)
+    total = float(sum(per_rate))
     return BlockingReport(
         per_rate=per_rate,
-        total=float(sum(per_rate)),
+        total=total,
         binomial_n=_binomial_count(spec, binomial_n),
         offered_flow=offered,
         blocked_flow=float(sum(blocked_parts)),
         convention=binomial_n,
+        log_total=math.log(total) if total > 0.0 else -math.inf,
     )
 
 

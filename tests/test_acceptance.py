@@ -23,7 +23,10 @@ README. Both simulation checks carry the `slow` marker, so that
 `pytest -m "not slow"` leaves them out.
 """
 
+import concurrent.futures
 import math
+import multiprocessing
+import os
 import time
 
 import numpy as np
@@ -34,6 +37,7 @@ from vrfplan.cli import _coordinate_seed
 from vrfplan.oracle import _random_chain_spec
 
 from chain_reduction import band_ratio_oracle
+from conftest import keep_no_bytecode
 from util import engset_marginal, erlang_b, mk_chain, rate_level_distribution
 
 EVENTS = 1_000_000
@@ -64,6 +68,21 @@ def _simulate(a, n_d, n, shape, label):
     planning = config_from_dict({"a": a, "n_d": n_d, "cluster_size": n})
     seed = _coordinate_seed(0, a, n_d, 1, label, n, EVENTS)
     return sim.run(SimConfig.from_planning(planning, EVENTS, seed, shape=shape))
+
+
+#: Worker processes of checks 7 and 8, no more than the cores. Each
+#: point's seed comes from its coordinates, so no result depends on them.
+WORKERS = min(2, os.cpu_count() or 1)
+
+
+def _simulate_all(points):
+    """`_simulate` over (a, n_d, n, shape, label) points, in order."""
+    if not points:
+        return []
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=WORKERS, mp_context=multiprocessing.get_context("spawn"),
+            initializer=keep_no_bytecode) as pool:
+        return list(pool.map(_simulate, *zip(*points)))
 
 
 # How finely a run of EVENTS events resolves a blocking probability, decided
@@ -257,33 +276,35 @@ def test_simulation_confirms_analytics_across_load_grid(record_check):
     t0 = time.perf_counter()
     failures = []
     regimes = dict.fromkeys(REGIMES, 0)
+    judged = []
     for a in (0.2, 0.3, 0.5):
         for n_d in (1, 2, 3, 4):
             for n in range(8, 21):
                 pb = _blocking(a, n_d, n, convention="true")
                 regime = _regime(pb)
                 regimes[regime] += 1
-                if regime == NOT_SIMULATED:
-                    continue
-                stats = _simulate(a, n_d, n, 1.0, "poisson")
-                est, se = stats.estimate_fha_flow, stats.stderr
-                diff = abs(est - pb)
-                if regime == MAGNITUDE:
-                    ok = _same_magnitude(est, pb)
-                else:
-                    # rule-of-three fallback covers fully saturated runs in
-                    # which every batch blocks everything and se collapses
-                    ok = (diff <= 3.0 * se or diff <= 1e-6
-                          or (se == 0.0
-                              and diff <= 3.0 / max(stats.upgrade_attempts, 1)))
-                if regime == SATURATED and not ok:
-                    # judge the unblocked complement as the rare end is judged
-                    q, q_sim = 1.0 - pb, 1.0 - est
-                    ok = q_sim < RESOLVED if q < RARE else _same_magnitude(q_sim, q)
-                if not ok:
-                    failures.append(
-                        f"  a={a} depth={n_d} N={n}: analytic {pb:.3e} "
-                        f"sim {est:.3e} se {se:.1e}")
+                if regime != NOT_SIMULATED:
+                    judged.append((a, n_d, n, pb, regime))
+    runs = _simulate_all([(a, n_d, n, 1.0, "poisson") for a, n_d, n, _, _ in judged])
+    for (a, n_d, n, pb, regime), stats in zip(judged, runs):
+        est, se = stats.estimate_fha_flow, stats.stderr
+        diff = abs(est - pb)
+        if regime == MAGNITUDE:
+            ok = _same_magnitude(est, pb)
+        else:
+            # rule-of-three fallback covers fully saturated runs in
+            # which every batch blocks everything and se collapses
+            ok = (diff <= 3.0 * se or diff <= 1e-6
+                  or (se == 0.0
+                      and diff <= 3.0 / max(stats.upgrade_attempts, 1)))
+        if regime == SATURATED and not ok:
+            # judge the unblocked complement as the rare end is judged
+            q, q_sim = 1.0 - pb, 1.0 - est
+            ok = q_sim < RESOLVED if q < RARE else _same_magnitude(q_sim, q)
+        if not ok:
+            failures.append(
+                f"  a={a} depth={n_d} N={n}: analytic {pb:.3e} "
+                f"sim {est:.3e} se {se:.1e}")
     el = time.perf_counter() - t0
     total = sum(regimes.values())
     passed = not failures and el < 1800.0
@@ -308,26 +329,28 @@ def test_interarrival_shape_orders_blocking(record_check):
     t0 = time.perf_counter()
     failures = []
     regimes = dict.fromkeys(REGIMES, 0)
+    judged = []
     for n_d in (2, 3, 4):
         for n in range(8, 21):
             regime = _regime(_blocking(0.3, n_d, n, convention="true"))
             regimes[regime] += 1
-            if regime in (NOT_SIMULATED, MAGNITUDE):
-                continue
-            spiky = _simulate(0.3, n_d, n, 1.5, "weibull:1.5")
-            plain = _simulate(0.3, n_d, n, 1.0, "poisson")
-            bursty = _simulate(0.3, n_d, n, 0.9, "weibull:0.9")
-            hi, mid, lo = (spiky.estimate_fha_flow, plain.estimate_fha_flow,
-                           bursty.estimate_fha_flow)
-            if regime == SATURATED:
-                # every shape blocks all but a sliver no run can order
-                ok = min(hi, mid, lo) >= 1.0 - RESOLVED
-            else:
-                ok = hi > mid > lo
-            if not ok:
-                failures.append(
-                    f"  depth={n_d} N={n} ({regime}): k=1.5 {hi:.5f}, "
-                    f"poisson {mid:.5f}, k=0.9 {lo:.5f}")
+            if regime not in (NOT_SIMULATED, MAGNITUDE):
+                judged.append((n_d, n, regime))
+    shapes = ((1.5, "weibull:1.5"), (1.0, "poisson"), (0.9, "weibull:0.9"))
+    runs = iter(_simulate_all([(0.3, n_d, n, shape, label)
+                               for n_d, n, _ in judged for shape, label in shapes]))
+    for (n_d, n, regime), spiky, plain, bursty in zip(judged, runs, runs, runs):
+        hi, mid, lo = (spiky.estimate_fha_flow, plain.estimate_fha_flow,
+                       bursty.estimate_fha_flow)
+        if regime == SATURATED:
+            # every shape blocks all but a sliver no run can order
+            ok = min(hi, mid, lo) >= 1.0 - RESOLVED
+        else:
+            ok = hi > mid > lo
+        if not ok:
+            failures.append(
+                f"  depth={n_d} N={n} ({regime}): k=1.5 {hi:.5f}, "
+                f"poisson {mid:.5f}, k=0.9 {lo:.5f}")
     el = time.perf_counter() - t0
     passed = not failures and el < 900.0
     _line(record_check, 8, passed,

@@ -520,6 +520,7 @@ def test_blocking_matches_the_log_space_oracle_across_loads_links_and_sizes():
             got = blocking(spec, conv)
             want = log_space_blocking(spec, conv)
             _assert_reports_close(got, want, 1e-10)
+            assert (got.log_total == -math.inf) == never_blocks
             if never_blocks:
                 assert got.per_rate == (0.0,) * n_d and got.total == 0.0
             else:
@@ -529,16 +530,43 @@ def test_blocking_matches_the_log_space_oracle_across_loads_links_and_sizes():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_blocking_near_the_float_range_on_a_terabit_link():
-    # 2 000 units on a 1 Tbit/s link: G = 13 020 loads and P_B ~ 3.7e-296
+def test_blocking_near_the_float_range_on_a_terabit_link(monkeypatch):
+    # 2 000 units on a 1 Tbit/s link: G = 13 020 loads and P_B ~ 3.7e-296,
+    # so far in the tail of t = 0 that the grid edge takes one tilt
     spec = spec_from_planning(config_from_dict(
         {"a": 0.2, "n_d": 5, "cluster_size": 2000, "fha_capacity_mbps": 1e6}))
     assert spec.grid_limit == 13020
+    tilts = []
+    real = aggregator._tilt
+    monkeypatch.setattr(aggregator, "_tilt", lambda *args: tilts.append(1) or real(*args))
     for conv in ("effective", "true"):
+        tilts.clear()
         got = blocking(spec, conv)
+        assert tilts == [1]
         assert 1e-296 < got.total < 1e-295
         assert all(p > 0.0 for p in got.per_rate)
         _assert_reports_close(got, log_space_blocking(spec, conv), 1e-9)
+
+
+def test_log_total_resolves_blocking_below_the_float_range():
+    # 120 units at load 0.1 on 100 Gbit/s: P_B ~ e^-1386, far below 5e-324
+    spec = spec_from_planning(config_from_dict(
+        {"a": 0.1, "n_d": 5, "cluster_size": 120, "fha_capacity_mbps": 1e5}))
+    for conv in ("effective", "true"):
+        got, want = blocking(spec, conv), log_space_blocking(spec, conv)
+        assert got.total == 0.0 and -1400.0 < got.log_total < -1300.0
+        assert abs(got.log_total - want.log_total) <= 1e-10 * abs(want.log_total)
+
+
+def test_log_total_is_the_log_of_the_total():
+    for n, link in ((14, 10000.0), (40, 25000.0)):
+        report = blocking(spec_from_planning(config_from_dict(
+            {"a": 0.3, "n_d": 3, "cluster_size": n, "fha_capacity_mbps": link})))
+        assert report.log_total == pytest.approx(math.log(report.total), rel=1e-12)
+    # 4 units at the top rate fit 10 Gbit/s: no load blocks
+    report = blocking(spec_from_planning(config_from_dict(
+        {"a": 0.3, "n_d": 3, "cluster_size": 4, "fha_capacity_mbps": 10000.0})))
+    assert report.total == 0.0 and report.log_total == -math.inf
 
 
 @pytest.mark.slow

@@ -8,6 +8,7 @@ reads -inf or keeps it too. The powers are held to `sequential_log_powers`
 (one unit at a time in log space) and to exact rational powers.
 """
 
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vrfplan import config_from_dict
+from vrfplan import aggregator, config_from_dict
 from vrfplan.aggregator import _log_powers, spec_from_planning
 
 from enumerated_oracle import sequential_log_powers
@@ -81,6 +82,62 @@ def test_a_lattice_hole_under_the_grid_limit_is_judged_against_the_load_past_it(
     assert want[10] - want[11] < _FLOOR < want[12] - want[11]
     assert _log_powers(log_w, (1, 2), 11, 31)[1][11] == -math.inf
     _assert_contract(log_w, (1, 2), 11, 31, 31 * 500.0)
+
+
+def _spy(monkeypatch, name):
+    """Record the results of every call to `aggregator.<name>`."""
+    calls = []
+    real = getattr(aggregator, name)
+
+    def spy(*args):
+        calls.append(real(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(aggregator, name, spy)
+    return calls
+
+
+def _unit(a, n_d, n, link, gap=1):
+    spec = spec_from_planning(config_from_dict(
+        {"a": a, "n_d": n_d, "cluster_size": n, "threshold_gap": gap,
+         "fha_capacity_mbps": link}))
+    return (np.cumsum(np.log(spec.rates.up) - np.log(spec.rates.down)),
+            spec.rate_set.steps, spec.grid_limit)
+
+
+@pytest.mark.parametrize("link, n_d, n", [
+    (25000.0, 3, 52), (25000.0, 4, 50), (100000.0, 3, 210), (100000.0, 3, 220),
+    (40000.0, 4, 74),
+])
+def test_t0_alone_resolves_clusters_near_the_knee(monkeypatch, link, n_d, n):
+    # t = 0 resolves the grid edge of every cluster near its knee: no tilt
+    tilts = _spy(monkeypatch, "_tilt")
+    for a, gap in itertools.product((0.22, 0.25, 0.28), (1, 2)):
+        log_w, steps, gmax = _unit(a, n_d, n, link, gap)
+        assert gmax < n * steps[-1]
+        _log_powers(log_w, steps, gmax, n)
+    assert tilts == []
+
+
+def test_a_grid_edge_below_t0_is_tilted_to(monkeypatch):
+    # f = 1 + e^460.9 x^2 + e^-120.2 x^3 squared, up to x^3: at t = 0,
+    # f^2's loads 0..3 lie below 1e-200 of its peak at load 4, so the
+    # edge takes a tilt; f's load 3 still reads its weight
+    log_w = np.array([460.9, -120.2])
+    tilts = _spy(monkeypatch, "_tilt")
+    log_fm1 = _log_powers(log_w, (2, 3), 3, 2)[0]
+    assert len(tilts) == 1
+    assert log_fm1[3] == pytest.approx(-120.2, rel=1e-12)
+    _assert_contract(log_w, (2, 3), 3, 2, 2 * 460.9)
+
+
+def test_a_power_whose_low_tail_underflows_is_trimmed(monkeypatch):
+    # 210 units on 100 Gbit/s: the last products start past load 150 of
+    # the 326, their lower loads below the smallest normal float
+    log_w, steps, gmax = _unit(0.25, 3, 210, 100000.0)
+    products = _spy(monkeypatch, "_times")
+    _assert_contract(log_w, steps, gmax, 210, 1.0)
+    assert max(first for _, first in products) > 150
 
 
 def _exact_log(c: Fraction) -> float:
