@@ -14,7 +14,6 @@ from .aggregator import (
     BlockingReport,
     blocking,
     blocking_for_planning,
-    count_states,
     spec_from_planning,
 )
 from .config import (
@@ -72,7 +71,6 @@ __all__ = [
     "blocking",
     "blocking_for_planning",
     "config_from_dict",
-    "count_states",
     "default_profile",
     "default_thresholds",
     "load_config",

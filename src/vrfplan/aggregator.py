@@ -8,11 +8,11 @@ share of offered level-upgrade flow (wake-ups included) that lands in
 states where the needed extra bandwidth does not fit.
 
 Every rate is an integer multiple of the rate set's grid unit, so a load
-is an integer on a grid that ends at the rate set's grid limit G. Blocking
-and the state count are convolutions over that grid, and no state is
-listed. Blocking reads the powers of one unit's polynomial, built from
-tilted probabilities by direct convolutions of positive terms: its cost
-grows as log(N) G^2, not with the state count. The enumerated state
+is an integer on a grid that ends at the rate set's grid limit G.
+Blocking is a convolution over that grid, and no state is listed: it
+reads the powers of one unit's polynomial, built from tilted
+probabilities by direct convolutions of positive terms, so its cost
+grows as log(N) G^2, not with the number of states. The enumerated state
 space (`enumerate_states`, `product_form`, `build_generator`,
 `detailed_balance_check`) is the oracle for that path; only the suites
 of `vrfplan.oracle` and the tests use it.
@@ -21,7 +21,6 @@ of `vrfplan.oracle` and the tests use it.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,9 +32,6 @@ from .rru import RruChainSpec, RruRates, transition_rates
 
 #: Refuse to enumerate more states than this.
 DEFAULT_STATE_CAP = 5_000_000
-#: Refuse to count states over a table of more bytes than this: 8 a cell
-#: for int64, or a pointer and a Python integer once a count can pass 2**63.
-_COUNT_BYTE_CAP = 2**28
 #: Dense generator assembly is quadratic in states; cap it separately.
 _GENERATOR_STATE_CAP = 5_000
 
@@ -98,8 +94,6 @@ class BlockingReport:
     per_rate: tuple[float, ...]
     total: float
     binomial_n: int
-    offered_flow: float
-    blocked_flow: float
     convention: str
     log_total: float
 
@@ -160,37 +154,6 @@ def _walk(spec: AggregatorSpec, load_limit: float,
         prefix.append(k)
         _walk(spec, load_limit, out, prefix, used + k, new_load)
         prefix.pop()
-
-
-def count_states(spec: AggregatorSpec) -> int:
-    """Number of feasible occupancy vectors, `len(enumerate_states(spec))`,
-    counted over (active units, load in grid units) without listing them.
-    A table of more than `_COUNT_BYTE_CAP` bytes raises `CapacityError`."""
-    steps = spec.rate_set.steps
-    gmax = spec.grid_limit
-    units = min(spec.cluster_size, gmax // steps[0])
-    # the number of vectors of at most `units` units, which bounds every count
-    most = math.comb(units + len(steps), len(steps))
-    if units * steps[-1] <= gmax:
-        # every vector fits the link: all of them, no table
-        return most
-    cells = (units + 1) * (gmax + 1)
-    # machine integers where no count can pass `most`: ~10x faster and
-    # smaller; past 2**63 a cell points to an integer of up to `most`'s size
-    exact = np.int64 if most < 2**63 else object
-    size = cells * (8 if exact is np.int64 else 8 + sys.getsizeof(most))
-    if size > _COUNT_BYTE_CAP:
-        raise CapacityError(
-            f"counting states for N={spec.cluster_size}, G={gmax} needs a table of "
-            f"{cells} cells, {size} bytes, over the {_COUNT_BYTE_CAP}-byte cap"
-        )
-    counts = np.zeros((units + 1, gmax + 1), dtype=exact)
-    counts[0, 0] = 1
-    for s in steps:
-        # any number of units at this level: c'[t, L] = c[t, L] + c'[t-1, L-s]
-        for t in range(1, units + 1):
-            counts[t, s:] += counts[t - 1, :max(gmax + 1 - s, 0)]
-    return int(counts.sum())
 
 
 def _upward_moves(spec: AggregatorSpec, space: StateSpace):
@@ -327,13 +290,10 @@ def blocking(spec: AggregatorSpec, binomial_n: str = "effective") -> BlockingRep
     top = max(log_blocked)
     log_total = -math.inf if top == -math.inf else (
         top - log_offered + math.log(math.fsum(math.exp(b - top) for b in log_blocked)))
-    log_z = logsumexp(log_f)
     return BlockingReport(
         per_rate=per_rate,
         total=float(sum(per_rate)),
         binomial_n=nb,
-        offered_flow=math.exp(log_offered - log_z),
-        blocked_flow=math.fsum(math.exp(b - log_z) for b in log_blocked),
         convention=binomial_n,
         log_total=log_total,
     )

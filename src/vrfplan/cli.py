@@ -27,7 +27,7 @@ import time
 
 from . import aggregator, sim
 from .config import PlanningConfig, _is_int, config_from_dict, load_config
-from .errors import CapacityError, VrfError
+from .errors import VrfError
 
 log = logging.getLogger("vrfplan")
 
@@ -59,7 +59,7 @@ def _parse_arrival(text: str) -> float:
     """Parse 'poisson' or 'weibull:K' into the inter-arrival shape."""
     if text == "poisson":
         return 1.0
-    if text.startswith("weibull:"):
+    if isinstance(text, str) and text.startswith("weibull:"):
         try:
             return float(text.split(":", 1)[1])
         except ValueError:
@@ -151,11 +151,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(f"normalized load a   {planning.traffic.a:g}")
     print(f"threshold gap       {planning.threshold_gap}")
     print(f"link capacity       {planning.link_capacity_mbps:g} Mbit/s")
-    try:
-        states = aggregator.count_states(spec)
-    except CapacityError as exc:
-        states = f"not counted: {exc}"
-    print(f"feasible states     {states}")
+    print(f"load grid           G = {spec.grid_limit} units of "
+          f"{planning.rate_set.unit_mbps:g} Mbit/s")
     print(f"binomial convention {report.convention} (n = {report.binomial_n})")
     for i, p in enumerate(report.per_rate):
         print(f"P_B component {i}     {_fmt(p)}")

@@ -81,6 +81,13 @@ class ArrivalProcess:
             raise InvalidConfigError("arrival", f"rate must be a positive number, got {self.rate!r}")
         if not _is_number(self.shape) or not self.shape > 0:
             raise InvalidConfigError("arrival", f"shape must be a positive number, got {self.shape!r}")
+        # Generator.random draws at most 1 - 2**-53, so this is the longest gap
+        with np.errstate(over="ignore"):
+            longest = self.quantile(1.0 - 2.0**-53)
+        if not math.isfinite(longest):
+            raise InvalidConfigError(
+                "arrival", f"rate {self.rate!r} and shape {self.shape!r} can draw an "
+                           f"inter-arrival time past the float range")
 
     @property
     def mean_interarrival(self) -> float:

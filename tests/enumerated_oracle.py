@@ -70,8 +70,6 @@ def enumerated_blocking(
         per_rate=per_rate,
         total=total,
         binomial_n=_binomial_count(spec, binomial_n),
-        offered_flow=offered,
-        blocked_flow=float(sum(blocked_parts)),
         convention=binomial_n,
         log_total=math.log(total) if total > 0.0 else -math.inf,
     )

@@ -18,13 +18,14 @@ import vrfplan.oracle
 #: the rate set's grid limit replaced, the per-level distribution the
 #: rates now read straight from the log coefficients, the traffic
 #: builder whose lambda `RruChainSpec.lam` now derives from the rate set,
-#: and the cluster-chain pair classifier whose rates the generator's move
-#: walk now reads off each move.
+#: the cluster-chain pair classifier whose rates the generator's move
+#: walk now reads off each move, and a state count that answered no
+#: planning question.
 REMOVED = (
     "Partition", "uniformize", "stochastic_complement", "fold_back_conditional",
     "dtmc_steady_state", "sample_interarrival", "rate_after_arrival",
     "rate_after_departure", "max_rru", "PartitionDistribution", "partition_distribution",
-    "traffic_from_load", "transition_rate",
+    "traffic_from_load", "transition_rate", "count_states",
 )
 #: The enumerated cluster model: the oracle of the load-grid solve, which
 #: `vrfplan validate` and the tests reach through `vrfplan.aggregator`.
@@ -119,7 +120,11 @@ def _unused_imports(path):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", sorted(p for p in Path(vrfplan.__file__).parent.glob("*.py")
-                                        if p.name != "__init__.py"), ids=lambda p: p.name)
+#: The package's modules and the test modules.
+MODULES = sorted(p for p in [*Path(vrfplan.__file__).parent.glob("*.py"),
+                             *Path(__file__).parent.glob("*.py")] if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_modules_import_only_what_they_use(path):
     assert _unused_imports(path) == []

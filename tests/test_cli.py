@@ -98,19 +98,6 @@ def test_analyze_writes_csv_row(tmp_path, capsys):
                         rel_tol=1e-8)
 
 
-def test_analyze_prints_blocking_when_the_state_count_is_refused(tmp_path, capsys, monkeypatch):
-    cfg = write_config(tmp_path, a=0.25, n_d=3, cluster_size=17)
-    main(["analyze", "--config", cfg])
-    counted = capsys.readouterr().out
-    # the 18 x 33 int64 cells of the table take 4 752 bytes
-    monkeypatch.setattr(vrfplan.aggregator, "_COUNT_BYTE_CAP", 4751)
-    assert main(["analyze", "--config", cfg]) == 0
-    refused = capsys.readouterr().out
-    assert ("feasible states     not counted: counting states for N=17, G=32 needs a table "
-            "of 594 cells, 4752 bytes, over the 4751-byte cap") in refused
-    assert refused.split("binomial")[1] == counted.split("binomial")[1]
-
-
 def test_analyze_exit_codes(tmp_path, capsys):
     assert main(["analyze", "--config", str(tmp_path / "missing.json")]) == 2
     bad = write_config(tmp_path, a=1.5, n_d=3, cluster_size=17)
@@ -164,7 +151,10 @@ def test_simulate_rejects_bad_arrival(tmp_path, capsys):
                  "--arrival", "weibull:zero"]) == 2
     assert main(["simulate", "--config", cfg, "--events", "120000", "--seed", "4",
                  "--arrival", "lognormal"]) == 2
-    capsys.readouterr()
+    # about one gap in eight at this shape overflows to inf
+    assert main(["simulate", "--config", cfg, "--events", "120000", "--seed", "4",
+                 "--arrival", "weibull:0.001"]) == 2
+    assert "float range" in capsys.readouterr().err
 
 
 def test_simulate_latency_row_leaves_agree_empty(tmp_path, capsys):
@@ -344,7 +334,12 @@ def test_sweep_plan_validation(tmp_path, capsys):
                  write_plan(tmp_path, a=[1.5], n_d=[1], n=[5])]) == 2
     assert main(["sweep", "--plan",
                  write_plan(tmp_path, a=[0.2], n_d=[1], n=[5], mode="guess")]) == 2
-    capsys.readouterr()
+    out = tmp_path / "rows.csv"
+    for arrival in ([5], [None]):
+        plan = write_plan(tmp_path, a=[0.2], n_d=[1], n=[5], arrival=arrival)
+        assert main(["sweep", "--plan", plan, "--out", str(out)]) == 2, arrival
+        assert not out.exists()
+        assert "bad arrival spec" in capsys.readouterr().err
 
 
 def test_sweep_rejects_bad_events_and_seed_before_any_row(tmp_path, capsys):

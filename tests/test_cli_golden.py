@@ -32,7 +32,7 @@ rates (Mbit/s)      307.2 614.4 1228.8
 normalized load a   0.25
 threshold gap       1
 link capacity       10000 Mbit/s
-feasible states     648
+load grid           G = 32 units of 307.2 Mbit/s
 binomial convention effective (n = 16)
 P_B component 0     2.08098132e-10
 P_B component 1     2.69296915e-05
@@ -45,7 +45,7 @@ rates (Mbit/s)      1228.8
 normalized load a   0.25
 threshold gap       1
 link capacity       10000 Mbit/s
-feasible states     9
+load grid           G = 8 units of 1228.8 Mbit/s
 binomial convention effective (n = 8)
 P_B component 0     0.999967703
 P_B total           0.999967703

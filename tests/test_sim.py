@@ -3,6 +3,7 @@ estimators, and cross-checks against exact references."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,14 @@ def batch_se(numer, denom):
 def test_arrival_rejects_bad_shape():
     with pytest.raises(InvalidConfigError):
         ArrivalProcess(rate=1.0, shape=0.0)
+    # the longest gap, at u = 1 - 2**-53, is 36.7**(1/shape): past the float
+    # range below a shape of about 0.0051, found with no overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for shape in (0.001, 0.004):
+            with pytest.raises(InvalidConfigError, match="float range"):
+                ArrivalProcess(rate=1.0, shape=shape)
+        assert math.isfinite(ArrivalProcess(rate=1.0, shape=0.01).quantile(1.0 - 2.0**-53))
 
 
 def test_mean_interarrival():
