@@ -9,10 +9,11 @@ states where the needed extra bandwidth does not fit.
 
 Every rate is an integer multiple of the rate set's grid unit, so a load
 is an integer on a grid that ends at the rate set's grid limit G.
-Blocking is a convolution over that grid, and no state is listed: it
-reads the powers of one unit's polynomial, built from tilted
-probabilities by direct convolutions of positive terms, so its cost
-grows as log(N) G^2, not with the number of states. The enumerated state
+Blocking is a convolution over that grid, and no state is listed: every
+flow is one unit facing the others, read off one power of one unit's
+polynomial, built from tilted probabilities by direct convolutions of
+positive terms, so its cost grows as log(N) G^2, not with the number of
+states. The enumerated state
 space (`enumerate_states`, `product_form`, `build_generator`,
 `detailed_balance_check`) is the oracle for that path; only the suites
 of `vrfplan.oracle` and the tests use it.
@@ -252,13 +253,16 @@ def blocking(spec: AggregatorSpec, binomial_n: str = "effective") -> BlockingRep
     component lie in [0, 1] by construction.
 
     The product form is a multinomial over nb units truncated at the
-    link, so the summed weight of the states at load L (in grid units) is
-    the coefficient [f^nb]_L. The idle units at load L weigh
-    (N - nb) [f^nb]_L + nb [f^(nb-1)]_L, and the units at level l weigh
-    nb w_l [f^(nb-1)]_(L - s_l); a flow is blocked at the loads L > G - jump,
-    so each level's blocked flow sums the suffix of its row from G + 1 - jump.
+    link, so every flow is one unit facing the other nb - 1: row l of one
+    table is a unit at level l (0 = idle) with the others at L - s_l,
+    w_l [f^(nb-1)]_(L - s_l) (w_0 = 1, s_0 = 0), and level l's flow at
+    load L is that row times nb up_l. Under "effective" the N - nb spare
+    units idle in every state, whose summed weight [f^nb]_L is the
+    table's column L, and wake at up_0 each. A flow is blocked at the
+    loads L > G - jump, so each level's blocked flow sums the suffix of
+    its row from G + 1 - jump.
 
-    Nearly all the time goes to those two powers (`_log_powers`): t = 0,
+    Nearly all the time goes to that one power (`_log_powers`): t = 0,
     and a second tilt only where t = 0 leaves the loads near the grid
     limit G unresolved; each tilt is about 2 log2(nb) direct convolutions
     of at most G + 1 loads, at most about 3/4 (G + 1)^2 multiply-adds
@@ -267,21 +271,18 @@ def blocking(spec: AggregatorSpec, binomial_n: str = "effective") -> BlockingRep
     underflows to 0.0.
     """
     nb = _binomial_count(spec, binomial_n)
-    steps = spec.rate_set.steps
     gmax = spec.grid_limit
     up, down = spec.rates.up, spec.rates.down
     log_w = np.cumsum(np.log(up) - np.log(down))
-    log_fm1, log_f = _log_powers(log_w, steps, gmax, nb)
+    log_fm1 = _log_powers(log_w, spec.rate_set.steps, gmax, nb)
+    table = np.full((len(up) + 1, gmax + 1), -math.inf)
+    for row, s, lw in zip(table, (0,) + spec.rate_set.steps, [0.0, *log_w]):
+        row[s:] = log_fm1[:max(gmax + 1 - s, 0)] + lw
+    flows = table[:-1] + np.log(nb * np.array(up))[:, None]
     spare = spec.cluster_size - nb
-    idle = log_fm1 + math.log(nb)
     if spare:
-        idle = np.logaddexp(idle, log_f + math.log(spare))
-    flows = np.full((len(steps), gmax + 1), -math.inf)
-    flows[0] = idle + math.log(up[0])
-    for level in range(1, len(steps)):
-        s = steps[level - 1]
-        flows[level, s:] = (log_fm1[:max(gmax + 1 - s, 0)] + math.log(nb) + log_w[level - 1]
-                            + math.log(up[level]))
+        flows[0] = np.logaddexp(flows[0], np.logaddexp.reduce(table, axis=0)
+                                + math.log(spare * up[0]))
     log_offered = logsumexp(flows)
     log_blocked = [logsumexp(row[max(gmax + 1 - jump, 0):])
                    for row, jump in zip(flows, spec.rate_set.jumps)]
@@ -316,27 +317,26 @@ _EDGE_RESOLVED = 1e-20
 
 
 def _log_powers(log_w: np.ndarray, steps: tuple[int, ...], gmax: int,
-                nb: int) -> tuple[np.ndarray, np.ndarray]:
-    """Log coefficients of f^(nb-1) and f^nb up to x^gmax, where
+                nb: int) -> np.ndarray:
+    """Log coefficients of f^(nb-1) up to x^gmax, where
     f(x) = 1 + sum_l w_l x^(s_l) is one unit: off, or at level l.
 
     Tilted by t, one unit is the probability vector p_(s_l) =
     w_l e^(t s_l) / f(e^t), p_0 = 1 / f(e^t), and
     [f^n]_L = f(e^t)^n e^(-L t) [p^n]_L. p^(nb-1) comes from binary
-    powering by direct convolutions cut at x^gmax (`_times`), p^nb from
-    one more product by p. Every product adds only positive terms, so a
-    coefficient keeps its relative accuracy while its tilted probability
-    is at least `_RESOLVED` (below it reads -inf), and a zero stays
-    exactly zero.
+    powering by direct convolutions cut at x^gmax (`_times`). Every
+    product adds only positive terms, so a coefficient keeps its relative
+    accuracy while its tilted probability is at least `_RESOLVED` (below
+    it reads -inf), and a zero stays exactly zero.
 
-    t = 0 comes first. A row's probabilities sum to at most 1, so its
+    t = 0 comes first. The power's probabilities sum to at most 1, so its
     largest over the loads 0..G + s_M is at least its largest, P_edge,
     over the edge G - s_M..G, and a coefficient within e^-600 of the
     largest over 0..G + s_M (the contract of `tests/test_log_powers.py`)
     has P >= e^-600 P_edge. With P_edge >= `_EDGE_RESOLVED` that is at
     least e^-600 1e-20 ~ 2.6e-281, while what the products underflowed or
     dropped moves it by about nb `_UNDERFLOW` (`_times`), under 1e-302 up
-    to 10^5 units: the row is resolved. Only when G < nb s_M and a row's
+    to 10^5 units: the power is resolved. Only when G < nb s_M and its
     edge lies below `_EDGE_RESOLVED` is the tilt that puts nb units' mean
     load at G added; it resolves the loads near G, where `blocking` reads
     the blocked flows, however far in a tail of t = 0 they lie, and each
@@ -350,41 +350,39 @@ def _log_powers(log_w: np.ndarray, steps: tuple[int, ...], gmax: int,
     and a few rows of 2G + 1 floats.
     """
     unit = list(zip((0,) + steps, [0.0] + log_w.tolist()))
-    tilts = [_tilted_powers(unit, 0.0, gmax, nb)]
-    edge = gmax - steps[-1]
-    # a row of t = 0 whose loads G - s_M..G all lie below _EDGE_RESOLVED
-    if gmax < nb * steps[-1] and any((prob[max(edge - first, 0):] < _EDGE_RESOLVED).all()
-                                     for _, prob, first in tilts[0][2]):
+    tilts = [_tilted_power(unit, 0.0, gmax, nb - 1)]
+    _, _, prob, first = tilts[0]
+    # t = 0 leaves every load G - s_M..G below _EDGE_RESOLVED
+    if gmax < nb * steps[-1] and (prob[max(gmax - steps[-1] - first, 0):] < _EDGE_RESOLVED).all():
         # a grid of load 0 alone (G = 0) tilts to half a load
-        tilts.append(_tilted_powers(unit, _tilt(unit, max(gmax, 0.5) / nb), gmax, nb))
+        tilts.append(_tilted_power(unit, _tilt(unit, max(gmax, 0.5) / nb), gmax, nb - 1))
     loads = np.arange(gmax + 1)
-    out = np.full((2, gmax + 1), -math.inf)
-    best = np.zeros((2, gmax + 1))
-    for t, log_z, rows in tilts:
-        for row, (n, prob, first) in enumerate(rows):
-            span = slice(first, first + len(prob))
-            better = (prob >= _RESOLVED) & (prob > best[row, span])
-            best[row, span][better] = prob[better]
-            out[row, span][better] = n * log_z - loads[span][better] * t + np.log(prob[better])
-    return out[0], out[1]
+    out = np.full(gmax + 1, -math.inf)
+    best = np.zeros(gmax + 1)
+    for t, log_z, prob, first in tilts:
+        span = slice(first, first + len(prob))
+        better = (prob >= _RESOLVED) & (prob > best[span])
+        best[span][better] = prob[better]
+        out[span][better] = (nb - 1) * log_z - loads[span][better] * t + np.log(prob[better])
+    return out
 
 
-def _tilted_powers(unit: list[tuple[int, float]], t: float, gmax: int, nb: int):
-    """(t, log f(e^t), rows): the rows (n, probabilities, first load) of
-    p^(nb-1) and p^nb up to x^gmax for the unit tilted by t."""
+def _tilted_power(unit: list[tuple[int, float]], t: float, gmax: int, n: int):
+    """(t, log f(e^t), probabilities, first load) of p^n up to x^gmax for
+    the unit tilted by t."""
     log_z = _tilted(unit, t)[0]
     p = np.zeros(min(unit[-1][0], gmax) + 1)
     for s, lw in unit:
         if s <= gmax:
             p[s] = math.exp(lw + t * s - log_z)
-    power, base, k = (np.ones(1), 0), (p, 0), nb - 1
-    while k:
-        if k & 1:
+    power, base = (np.ones(1), 0), (p, 0)
+    while n:
+        if n & 1:
             power = _times(*power, *base, gmax)
-        k >>= 1
-        if k:
+        n >>= 1
+        if n:
             base = _times(*base, *base, gmax)
-    return t, log_z, [(nb - 1, *power), (nb, *_times(*power, p, 0, gmax))]
+    return t, log_z, *power
 
 
 def _times(a: np.ndarray, a_first: int, b: np.ndarray, b_first: int,

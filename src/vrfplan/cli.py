@@ -248,7 +248,8 @@ def _load_plan(path: str, events: int | None = None, base_seed: int | None = Non
 
 def _plan_points(plan: dict) -> list[dict]:
     """Expand the grid in canonical order, validating every coordinate as a
-    config file is validated."""
+    config file is validated. A simulating point carries its `SimConfig`,
+    so a coordinate the simulator refuses stops the sweep before any row."""
     points = []
     for a, n_d, gap, arrival, n in itertools.product(
             plan["a"], plan["n_d"], plan["gap"], plan["arrival"], plan["n"]):
@@ -257,12 +258,12 @@ def _plan_points(plan: dict) -> list[dict]:
             "a": a, "n_d": n_d, "threshold_gap": gap, "cluster_size": n,
             **{key: plan[key] for key in _PLAN_CONFIG_KEYS if key in plan},
         })
-        points.append({
-            "planning": planning, "arrival": arrival, "shape": shape,
-            "mode": plan["mode"], "events": plan["events"],
-            "seed": _coordinate_seed(plan["base_seed"], a, n_d, gap, arrival, n,
-                                     plan["events"]),
-        })
+        cfg = None
+        if plan["mode"] != "analytic":
+            seed = _coordinate_seed(plan["base_seed"], a, n_d, gap, arrival, n, plan["events"])
+            cfg = sim.SimConfig.from_planning(planning, plan["events"], seed, shape)
+        points.append({"planning": planning, "arrival": arrival, "mode": plan["mode"],
+                       "sim": cfg})
     return points
 
 
@@ -274,10 +275,8 @@ def _sweep_point(point: dict) -> dict:
     try:
         if point["mode"] != "simulate":
             analytic = _analytic(planning)
-        if point["mode"] != "analytic":
-            cfg = sim.SimConfig.from_planning(planning, point["events"], point["seed"],
-                                              point["shape"])
-            simulated = (point["arrival"], sim.run(cfg))
+        if point["sim"] is not None:
+            simulated = (point["arrival"], sim.run(point["sim"]))
         agree = _agree(analytic, simulated)
     except Exception as exc:        # noqa: BLE001 - row-level isolation
         log.error("grid point a=%g n_d=%d gap=%d n=%d %s failed: %s", planning.traffic.a,

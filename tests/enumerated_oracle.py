@@ -6,27 +6,27 @@ states instead (`enumerate_states`), weights them by the product form, and
 judges each flow against the link in Mbit/s with a float slack, as the
 library did before the grid became its only path.
 
-`sequential_log_powers` and `blocked_log_powers` build in log space the
-powers of one unit's polynomial that `vrfplan.aggregator._log_powers`
-builds from tilted probabilities: one unit at a time, and by blocks of
-units as the library did before it tilted the unit. `log_space_blocking`
-is `blocking` on the blocked powers.
+`sequential_log_powers` and `blocked_log_powers` build in log space
+f^(nb-1), the power of one unit's polynomial that
+`vrfplan.aggregator._log_powers` builds from tilted probabilities, and
+f^nb: one unit at a time, and by blocks of units as the library did
+before it tilted the unit. `log_space_blocking` reads the flows off both
+blocked powers, as `blocking` did before it read them off f^(nb-1) alone,
+so it shares none of `blocking`'s flow arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-from unittest import mock
 
 import numpy as np
 
-from vrfplan import aggregator
+from vrfplan._logspace import logsumexp
 from vrfplan.aggregator import (
     AggregatorSpec,
     BlockingReport,
     StateSpace,
     _binomial_count,
-    blocking,
     enumerate_states,
     product_form,
 )
@@ -76,9 +76,36 @@ def enumerated_blocking(
 
 
 def log_space_blocking(spec: AggregatorSpec, binomial_n: str = "effective") -> BlockingReport:
-    """`blocking` with its powers built by `blocked_log_powers`."""
-    with mock.patch.object(aggregator, "_log_powers", blocked_log_powers):
-        return blocking(spec, binomial_n)
+    """`blocking` from both powers built by `blocked_log_powers`: the idle
+    units at load L weigh (N - nb) [f^nb]_L + nb [f^(nb-1)]_L, and the
+    units at level l weigh nb w_l [f^(nb-1)]_(L - s_l)."""
+    nb = _binomial_count(spec, binomial_n)
+    steps = spec.rate_set.steps
+    gmax = spec.grid_limit
+    up, down = spec.rates.up, spec.rates.down
+    log_w = np.cumsum(np.log(up) - np.log(down))
+    log_fm1, log_f = blocked_log_powers(log_w, steps, gmax, nb)
+    spare = spec.cluster_size - nb
+    idle = log_fm1 + math.log(nb)
+    if spare:
+        idle = np.logaddexp(idle, log_f + math.log(spare))
+    flows = np.full((len(steps), gmax + 1), -math.inf)
+    flows[0] = idle + math.log(up[0])
+    for level in range(1, len(steps)):
+        s = steps[level - 1]
+        flows[level, s:] = (log_fm1[:max(gmax + 1 - s, 0)] + math.log(nb) + log_w[level - 1]
+                            + math.log(up[level]))
+    log_offered = logsumexp(flows)
+    log_blocked = [logsumexp(row[max(gmax + 1 - jump, 0):])
+                   for row, jump in zip(flows, spec.rate_set.jumps)]
+    per_rate = tuple(math.exp(b - log_offered) for b in log_blocked)
+    return BlockingReport(
+        per_rate=per_rate,
+        total=float(sum(per_rate)),
+        binomial_n=nb,
+        convention=binomial_n,
+        log_total=logsumexp(log_blocked) - log_offered,
+    )
 
 
 def _times_unit(g: np.ndarray, log_w: np.ndarray, steps: tuple[int, ...]) -> np.ndarray:

@@ -378,6 +378,13 @@ def _assert_reports_close(got, want, rel):
         assert x == w or abs(x - w) <= rel * abs(w), (got, want)
 
 
+def _assert_log_totals_close(got, want, rel):
+    """log P_B within `rel` of its size, or of 1 where P_B is near 1: there
+    log P_B ~ P_B - 1, which no sum of the flows resolves more finely."""
+    assert got.log_total == want.log_total or (
+        abs(got.log_total - want.log_total) <= rel * max(1.0, abs(want.log_total)))
+
+
 def test_grid_path_matches_enumerated_oracle(monkeypatch):
     cases = []
     for a in (0.2, 0.3, 0.5):
@@ -483,6 +490,7 @@ def test_blocking_matches_the_log_space_oracle_across_loads_links_and_sizes():
             got = blocking(spec, conv)
             want = log_space_blocking(spec, conv)
             _assert_reports_close(got, want, 1e-10)
+            _assert_log_totals_close(got, want, 1e-10)
             assert (got.log_total == -math.inf) == never_blocks
             if never_blocks:
                 assert got.per_rate == (0.0,) * n_d and got.total == 0.0
@@ -508,7 +516,9 @@ def test_blocking_near_the_float_range_on_a_terabit_link(monkeypatch):
         assert tilts == [1]
         assert 1e-296 < got.total < 1e-295
         assert all(p > 0.0 for p in got.per_rate)
-        _assert_reports_close(got, log_space_blocking(spec, conv), 1e-9)
+        want = log_space_blocking(spec, conv)
+        _assert_reports_close(got, want, 1e-9)
+        _assert_log_totals_close(got, want, 1e-9)
 
 
 def test_log_total_resolves_blocking_below_the_float_range():

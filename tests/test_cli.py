@@ -340,6 +340,17 @@ def test_sweep_plan_validation(tmp_path, capsys):
         assert main(["sweep", "--plan", plan, "--out", str(out)]) == 2, arrival
         assert not out.exists()
         assert "bad arrival spec" in capsys.readouterr().err
+    # a Weibull shape whose longest gap passes the float range stops a
+    # simulating sweep before any row; the analytic mode never draws a gap
+    for mode in ("both", "simulate"):
+        plan = write_plan(tmp_path, a=[0.2], n_d=[1], n=[5], arrival=["weibull:0.001"],
+                          mode=mode)
+        assert main(["sweep", "--plan", plan, "--out", str(out)]) == 2, mode
+        assert not out.exists()
+        assert "field 'arrival'" in capsys.readouterr().err
+    plan = write_plan(tmp_path, a=[0.2], n_d=[1], n=[5], arrival=["weibull:0.001"])
+    assert main(["sweep", "--plan", plan, "--out", str(out)]) == 0
+    assert [r["agree"] for r in rows_of(out)] == [""]
 
 
 def test_sweep_rejects_bad_events_and_seed_before_any_row(tmp_path, capsys):

@@ -1,11 +1,12 @@
 """The powers of one unit's polynomial behind the grid solve.
 
-`vrfplan.aggregator._log_powers` builds f^(nb-1) and f^nb up to x^G from
-tilted probabilities. Its contract: zero coefficients are exactly zero
-(-inf); every coefficient at least e^-600 of the largest of its power
-over the loads 0..G + s_M keeps its relative accuracy; a smaller one
-reads -inf or keeps it too. The powers are held to `sequential_log_powers`
-(one unit at a time in log space) and to exact rational powers.
+`vrfplan.aggregator._log_powers` builds f^(nb-1) up to x^G from tilted
+probabilities: `blocking` reads every flow off that one power. Its
+contract: zero coefficients are exactly zero (-inf); every coefficient at
+least e^-600 of the largest of the power over the loads 0..G + s_M keeps
+its relative accuracy; a smaller one reads -inf or keeps it too. The
+power is held to `sequential_log_powers` (one unit at a time in log
+space) and to exact rational powers.
 """
 
 import itertools
@@ -41,26 +42,25 @@ def power_cases(draw):
     return log_w, steps, gmax, nb
 
 
-def _assert_powers_close(got, want, rel, scale=1.0, floor=math.inf, peaks=None):
+def _assert_power_close(got, want, rel, scale=1.0, floor=math.inf, peak=None):
     """Same zero coefficients (-inf), and every other log coefficient
     within `rel` * max(`scale`, |log c|) nats, a relative error of the
-    coefficient itself. A coefficient more than `floor` nats below the
-    peak of its row (by default the row's largest) may read -inf instead."""
-    for g, w, peak in zip(got, want, peaks or [w.max() for w in want]):
-        assert g.shape == w.shape
-        small = w < peak - floor
-        assert np.array_equal(g == -math.inf, (w == -math.inf) | (small & (g == -math.inf)))
-        fin = g != -math.inf
-        assert (np.abs(g[fin] - w[fin]) <= rel * np.maximum(scale, np.abs(w[fin]))).all()
+    coefficient itself. A coefficient more than `floor` nats below `peak`
+    (by default the largest of `want`) may read -inf instead."""
+    assert got.shape == want.shape
+    small = want < (want.max() if peak is None else peak) - floor
+    assert np.array_equal(got == -math.inf, (want == -math.inf) | (small & (got == -math.inf)))
+    fin = got != -math.inf
+    assert (np.abs(got[fin] - want[fin]) <= rel * np.maximum(scale, np.abs(want[fin]))).all()
 
 
 def _assert_contract(log_w, steps, gmax, nb, scale):
-    """`_log_powers` against the sequential powers, each row's peak taken
-    over the loads 0..G + s_M: a load in a lattice hole just under G can
-    be far below its neighbour past G under every tilt."""
-    wide = sequential_log_powers(log_w, steps, gmax + steps[-1], nb)
-    _assert_powers_close(_log_powers(log_w, steps, gmax, nb), [w[:gmax + 1] for w in wide],
-                         1e-12, scale, _FLOOR, [w.max() for w in wide])
+    """`_log_powers` against the sequential f^(nb-1), its peak taken over
+    the loads 0..G + s_M: a load in a lattice hole just under G can be far
+    below its neighbour past G under every tilt."""
+    wide = sequential_log_powers(log_w, steps, gmax + steps[-1], nb)[0]
+    _assert_power_close(_log_powers(log_w, steps, gmax, nb), wide[:gmax + 1],
+                        1e-12, scale, _FLOOR, wide.max())
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -74,14 +74,14 @@ def test_blocked_powers_match_the_sequential_oracle(case):
 
 
 def test_a_lattice_hole_under_the_grid_limit_is_judged_against_the_load_past_it():
-    # f = 1 + e^-500 x + e^500 x^2 to the 31st, up to x^11: load 11 is e^-497
-    # of load 10, and e^-1000 of load 12 past G, so no tilt keeps both it
-    # and the loads around it in floating point
+    # f = 1 + e^-500 x + e^500 x^2 to the 31st (nb = 32), up to x^11: load
+    # 11 is e^-497 of load 10, and e^-1000 of load 12 past G, so no tilt
+    # keeps both it and the loads around it in floating point
     log_w = np.array([-500.0, 500.0])
-    want = sequential_log_powers(log_w, (1, 2), 12, 31)[1]
+    want = sequential_log_powers(log_w, (1, 2), 12, 32)[0]
     assert want[10] - want[11] < _FLOOR < want[12] - want[11]
-    assert _log_powers(log_w, (1, 2), 11, 31)[1][11] == -math.inf
-    _assert_contract(log_w, (1, 2), 11, 31, 31 * 500.0)
+    assert _log_powers(log_w, (1, 2), 11, 32)[11] == -math.inf
+    _assert_contract(log_w, (1, 2), 11, 32, 32 * 500.0)
 
 
 def _spy(monkeypatch, name):
@@ -120,15 +120,26 @@ def test_t0_alone_resolves_clusters_near_the_knee(monkeypatch, link, n_d, n):
 
 
 def test_a_grid_edge_below_t0_is_tilted_to(monkeypatch):
-    # f = 1 + e^460.9 x^2 + e^-120.2 x^3 squared, up to x^3: at t = 0,
-    # f^2's loads 0..3 lie below 1e-200 of its peak at load 4, so the
-    # edge takes a tilt; f's load 3 still reads its weight
-    log_w = np.array([460.9, -120.2])
+    # f = 1 + e^300 x to the 4th (nb = 5), up to x^1: at t = 0 both loads
+    # lie below e^-898 of the power's mass at load 4, so neither resolves
+    # and the edge takes a tilt; load 1 is e^-300.4 of load 2 past G, well
+    # within the contract's e^-600
+    log_w = np.array([300.0])
     tilts = _spy(monkeypatch, "_tilt")
-    log_fm1 = _log_powers(log_w, (2, 3), 3, 2)[0]
+    log_fm1 = _log_powers(log_w, (1,), 1, 5)
     assert len(tilts) == 1
-    assert log_fm1[3] == pytest.approx(-120.2, rel=1e-12)
-    _assert_contract(log_w, (2, 3), 3, 2, 2 * 460.9)
+    assert log_fm1 == pytest.approx([0.0, math.log(4.0) + 300.0], rel=1e-12)
+    _assert_contract(log_w, (1,), 1, 5, 4 * 300.0)
+
+
+def test_a_solve_at_t0_makes_only_the_products_of_binary_powering(monkeypatch):
+    # 52 units: f^51 by binary powering, 51 = 0b110011, is 4 products
+    # into the power and 5 squarings, and no product builds f^52
+    log_w, steps, gmax = _unit(0.25, 3, 52, 25000.0)
+    tilts, products = _spy(monkeypatch, "_tilt"), _spy(monkeypatch, "_times")
+    _log_powers(log_w, steps, gmax, 52)
+    assert tilts == []
+    assert len(products) == 9
 
 
 def test_a_power_whose_low_tail_underflows_is_trimmed(monkeypatch):
@@ -146,22 +157,20 @@ def _exact_log(c: Fraction) -> float:
     return math.log(float(c / Fraction(2) ** k)) + k * math.log(2.0)
 
 
-def _exact_powers(weights, steps, gmax, n):
-    """Log coefficients of f^(n-1) and f^n up to x^gmax in exact rational
-    arithmetic: f = P / q with q the weights' common denominator, and the
-    integer polynomial P raised by repeated multiplication."""
+def _exact_power(weights, steps, gmax, n):
+    """Log coefficients of f^n up to x^gmax in exact rational arithmetic:
+    f = P / q with q the weights' common denominator, and the integer
+    polynomial P raised by repeated multiplication."""
     q = math.lcm(*(w.denominator for w in weights))
     nums = [int(w * q) for w in weights]
     poly = [1] + [0] * gmax
-    prev = poly
     for _ in range(n):
         new = [q * c for c in poly]
         for p, s in zip(nums, steps):
             for load in range(s, gmax + 1):
                 new[load] += p * poly[load - s]
-        prev, poly = poly, new
-    return [np.array([_exact_log(Fraction(c, q ** m)) if c else -math.inf for c in coeffs])
-            for m, coeffs in ((n - 1, prev), (n, poly))]
+        poly = new
+    return np.array([_exact_log(Fraction(c, q ** n)) if c else -math.inf for c in poly])
 
 
 @pytest.mark.parametrize("steps, weights, gmax, n", [
@@ -173,16 +182,16 @@ def _exact_powers(weights, steps, gmax, n):
                         Fraction(1, 4)), 110, 77),
 ])
 def test_blocked_powers_match_exact_rational_powers(steps, weights, gmax, n):
-    exact = _exact_powers(weights, steps, gmax, n)
+    exact = _exact_power(weights, steps, gmax, n - 1)
     log_w = np.log([float(w) for w in weights])
+    fin = exact != -math.inf
 
     def worst(got):
-        _assert_powers_close(got, exact, 1e-12)
-        return max(float(np.max(np.abs(g[e != -math.inf] - e[e != -math.inf])))
-                   for g, e in zip(got, exact))
+        _assert_power_close(got, exact, 1e-12)
+        return float(np.max(np.abs(got[fin] - exact[fin])))
 
     assert worst(_log_powers(log_w, steps, gmax, n)) <= worst(
-        sequential_log_powers(log_w, steps, gmax, n))
+        sequential_log_powers(log_w, steps, gmax, n)[0])
 
 
 def test_scratch_stays_within_a_few_rows_of_the_full_product():
