@@ -287,6 +287,8 @@ def _sweep_point(point: dict) -> dict:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise VrfError(f"--jobs must be at least 1, got {args.jobs}")
     plan = _load_plan(args.plan, args.events, args.seed)
     points = _plan_points(plan)
     # the executor may start every worker at once, so ask for no more
@@ -370,7 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p_sw.add_argument("--events", type=int, default=None, help="override plan event count")
     p_sw.add_argument("--seed", type=int, default=None, help="override plan base seed")
-    p_sw.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p_sw.add_argument("--jobs", type=int, default=1, help="parallel worker processes, at least 1")
     p_sw.set_defaults(func=cmd_sweep)
 
     p_va = sub.add_parser("validate", help="run the internal oracle suites")

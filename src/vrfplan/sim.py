@@ -20,8 +20,9 @@ retries on every arrival, which the call-level average weights.
 `run` keeps no event heap. The units' arrivals are merged in numpy into
 one timeline, window by window; departures come from one exponential
 clock at the rate of all calls in progress, since holding times are
-exponential; delayed downgrades wait in a FIFO queue, since every delay
-is the same. The warm-up and each of the `BATCH_COUNT` batches run as a
+exponential; both are iterators the loop reads one draw at a time.
+Delayed downgrades wait in a FIFO queue, since every delay is the
+same. The warm-up and each of the `BATCH_COUNT` batches run as a
 segment of their own, an inner loop with plain local counters; the load
 and flow integrals advance only when the occupancy changes. The load is
 an integer count of the rate set's grid unit, and the link admits a step
@@ -95,11 +96,9 @@ class ArrivalProcess:
 
     def quantile(self, u: float | np.ndarray) -> float | np.ndarray:
         """Inverse CDF of the inter-arrival time at u in [0, 1), elementwise
-        over an array of uniforms."""
-        x = -np.log1p(-u)
-        if self.shape != 1.0:
-            x = x ** (1.0 / self.shape)
-        return x * (1.0 / self.rate)
+        over an array of uniforms. A power of 1.0 returns its base exactly,
+        so shape 1 draws the exponential gaps bit for bit."""
+        return (-np.log1p(-u)) ** (1.0 / self.shape) * (1.0 / self.rate)
 
 
 def reconfig_arrival_probability(rate: float, window: float, n: int) -> float:
@@ -250,11 +249,12 @@ def run(config: SimConfig) -> SimStats:
     - arrivals, read off the merged timeline of the units' renewal
       streams (`_arrival_windows`);
     - one departure clock of rate mu * U, U the calls in progress. It is
-      redrawn whenever U changes, from the seed key's own Philox stream,
-      two uniforms a draw: an exponential time and the pick of the
-      departing call among U, each call equally likely. A list holds each
-      call's unit; a departing call is swapped with the last entry and
-      removed;
+      redrawn whenever U changes: the next (holding time, pick) pair off
+      an iterator over the seed key's own Philox stream, two uniforms a
+      pair, read the way the arrivals are. The holding time of one call
+      over U is the clock; the pick chooses the departing call among U,
+      each call equally likely. A list holds each call's unit; a
+      departing call is swapped with the last entry and removed;
     - expiries of delayed downgrades, in a FIFO queue, since the latency
       is the same for all. They are not counted as events and belong to
       the segment they fall in.
@@ -269,9 +269,10 @@ def run(config: SimConfig) -> SimStats:
     each segment end.
 
     Each unit draws its share of `_UNIFORM_BLOCK` uniforms at a time, at
-    least 64, and the departure clock `_UNIFORM_BLOCK` pairs; each block
-    is transformed once, in numpy. Every stream is consumed in its own
-    order, so the block size does not change the outcome.
+    least 64, and the departure clock's iterator `_UNIFORM_BLOCK` pairs
+    when it runs dry; each block is transformed once, in numpy. Every
+    stream is consumed in its own order, so the block size does not
+    change the outcome.
     """
     chain = config.unit
     rate_set = chain.rate_set
@@ -312,11 +313,11 @@ def run(config: SimConfig) -> SimStats:
     windows = _arrival_windows(config.seed, n, config.arrival.quantile, max(64, block // n))
     departures = np.random.Generator(np.random.Philox(key=config.seed))
 
-    def draw() -> tuple[list[float], list[float]]:
-        """The departure clock's next block: holding times of one call
-        (rate mu) and picks in [0, 1)."""
+    def draw() -> Iterator[tuple[float, float]]:
+        """The departure clock's next block: pairs of a holding time of one
+        call (rate mu) and a pick in [0, 1)."""
         u = departures.random(2 * block)
-        return (-np.log1p(-u[0::2]) / mu).tolist(), u[1::2].tolist()
+        return zip((-np.log1p(-u[0::2]) / mu).tolist(), u[1::2].tolist())
 
     users = [0] * n
     level = [0] * n
@@ -352,11 +353,10 @@ def run(config: SimConfig) -> SimStats:
     # the next arrival, as (time, unit), read off the windows in turn
     arrivals = itertools.chain.from_iterable(zip(*w) for w in windows)
     t_arr, r_arr = next(arrivals)
-    holds, picks = draw()
-    di = 0
+    # the departure clock's next (holding time, pick), read off the blocks in turn
+    clock = itertools.chain.from_iterable(iter(draw, None))
     busy = 0
     t_dep = t_exp = inf
-    pick = 0.0
 
     c_max = 0
     t = t_mark = t_start = 0.0
@@ -394,12 +394,8 @@ def run(config: SimConfig) -> SimStats:
                 r = owners[k]
                 owners[k] = owners[busy]
                 if busy:
-                    if di == block:
-                        holds, picks = draw()
-                        di = 0
-                    t_dep = t + holds[di] / busy
-                    pick = picks[di]
-                    di += 1
+                    hold, pick = next(clock)
+                    t_dep = t + hold / busy
                 else:
                     t_dep = inf
                 cur = users[r] - 1
@@ -434,12 +430,8 @@ def run(config: SimConfig) -> SimStats:
                 users[r] = cur
                 owners[busy] = r
                 busy += 1
-                if di == block:
-                    holds, picks = draw()
-                    di = 0
-                t_dep = t + holds[di] / busy
-                pick = picks[di]
-                di += 1
+                hold, pick = next(clock)
+                t_dep = t + hold / busy
 
             if move:
                 dt = t - t_mark

@@ -351,6 +351,12 @@ def test_sweep_plan_validation(tmp_path, capsys):
     plan = write_plan(tmp_path, a=[0.2], n_d=[1], n=[5], arrival=["weibull:0.001"])
     assert main(["sweep", "--plan", plan, "--out", str(out)]) == 0
     assert [r["agree"] for r in rows_of(out)] == [""]
+    out.unlink()
+    # a worker count below 1 is refused, not run serially
+    for jobs in ("0", "-3"):
+        assert main(["sweep", "--plan", plan, "--out", str(out), "--jobs", jobs]) == 2, jobs
+        assert not out.exists()
+        assert "--jobs must be at least 1" in capsys.readouterr().err
 
 
 def test_sweep_rejects_bad_events_and_seed_before_any_row(tmp_path, capsys):

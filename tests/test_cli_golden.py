@@ -20,6 +20,10 @@ CASES = {
     # depth 1 at N = 20: the link carries only 8 units at the top rate
     "analyze_saturated": ("analyze", {"a": 0.25, "n_d": 1, "cluster_size": 20}, []),
     "simulate_seeded": ("simulate", README_CONFIG, ["--seed", "4", "--events", "100000"]),
+    # Weibull arrivals and a reconfiguration latency at a point where the link blocks
+    "simulate_weibull_latency": ("simulate", {"a": 0.3, "n_d": 3, "cluster_size": 18},
+                                 ["--arrival", "weibull:0.9", "--latency", "0.5",
+                                  "--seed", "4", "--events", "100000"]),
     "sweep_analytic": ("sweep", {"a": [0.2, 0.25], "n_d": [2, 3], "n": [10, 17]}, []),
     "sweep_both": ("sweep", {"a": [0.25], "n_d": [3], "n": [16, 17], "mode": "both",
                              "events": 100_000}, ["--seed", "7"]),
@@ -61,6 +65,19 @@ P_B flow estimate    2.47029447e-05 +- 4.15815918e-05 (95% CI)
 P_B per attempt      0
 P_B per arrival      0 (link) 0 (unit) 0 (total)
 mean aggregate rate  7612.04803 Mbit/s
+max aggregate rate   9830.4 Mbit/s
+""",
+    "simulate_weibull_latency": """\
+events processed     100000 (warm-up 5000)
+arrivals             48357
+accepted             46626
+blocked (unit full)  0
+blocked (link)       1731
+upgrade attempts     2372
+P_B flow estimate    0.60652073 +- 0.0476809858 (95% CI)
+P_B per attempt      0.729763912
+P_B per arrival      0.0357962653 (link) 0 (unit) 0.0357962653 (total)
+mean aggregate rate  9681.64099 Mbit/s
 max aggregate rate   9830.4 Mbit/s
 """,
     "sweep_analytic": """\

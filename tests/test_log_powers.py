@@ -6,7 +6,8 @@ contract: zero coefficients are exactly zero (-inf); every coefficient at
 least e^-600 of the largest of the power over the loads 0..G + s_M keeps
 its relative accuracy; a smaller one reads -inf or keeps it too. The
 power is held to `sequential_log_powers` (one unit at a time in log
-space) and to exact rational powers.
+space) and to exact rational powers. `blocked_log_powers`, the oracle the
+`blocking` grids are held to, is held to `sequential_log_powers` too.
 """
 
 import itertools
@@ -21,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from vrfplan import aggregator, config_from_dict
 from vrfplan.aggregator import _log_powers, spec_from_planning
 
-from enumerated_oracle import sequential_log_powers
+from enumerated_oracle import _BLOCKED_FROM, blocked_log_powers, sequential_log_powers
 
 #: Ladders of grid steps: the paper's halving chains, and steps that
 #: leave loads no sum of them reaches (1 under (2, 3); 1, 2, 4 under (3, 5)).
@@ -66,7 +67,7 @@ def _assert_contract(log_w, steps, gmax, nb, scale):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=200, deadline=None)
 @given(power_cases())
-def test_blocked_powers_match_the_sequential_oracle(case):
+def test_log_powers_match_the_sequential_oracle(case):
     log_w, steps, gmax, nb = case
     # a log coefficient sums up to nb weights of up to max|log w| nats each,
     # and no float sum resolves it more finely than a rounding at that size
@@ -151,6 +152,22 @@ def test_a_power_whose_low_tail_underflows_is_trimmed(monkeypatch):
     assert max(first for _, first in products) > 150
 
 
+@pytest.mark.parametrize("nb", [32, 33, 100, 250])
+@pytest.mark.parametrize("n_d", [1, 3, 5])
+def test_the_blocked_oracle_matches_the_sequential_build(n_d, nb):
+    # both rows, f^(nb-1) and f^nb, on the ladders (1,), (1, 2, 4) and
+    # (1, 2, 4, 8, 16), up to a grid limit of one top step, half the
+    # power's degree and one step past it
+    assert nb >= _BLOCKED_FROM
+    for a in (0.1, 0.25, 0.6):
+        log_w, steps, _ = _unit(a, n_d, nb, math.inf)
+        assert steps == tuple(2 ** i for i in range(n_d))
+        for gmax in (steps[-1], nb * steps[-1] // 2, (nb + 1) * steps[-1]):
+            want = sequential_log_powers(log_w, steps, gmax, nb)
+            for got, row in zip(blocked_log_powers(log_w, steps, gmax, nb), want):
+                _assert_power_close(got, row, 1e-12)
+
+
 def _exact_log(c: Fraction) -> float:
     """log c of a positive rational to about one rounding."""
     k = c.numerator.bit_length() - c.denominator.bit_length()
@@ -181,7 +198,7 @@ def _exact_power(weights, steps, gmax, n):
     ((1, 2, 4, 8, 16), (Fraction(3, 2), Fraction(5, 4), Fraction(7, 8), Fraction(1, 2),
                         Fraction(1, 4)), 110, 77),
 ])
-def test_blocked_powers_match_exact_rational_powers(steps, weights, gmax, n):
+def test_log_powers_match_exact_rational_powers(steps, weights, gmax, n):
     exact = _exact_power(weights, steps, gmax, n - 1)
     log_w = np.log([float(w) for w in weights])
     fin = exact != -math.inf
