@@ -38,13 +38,7 @@ from .errors import (
     VrfError,
 )
 from .rru import RruChainSpec, RruRates, transition_rates
-from .sim import (
-    ArrivalProcess,
-    SimConfig,
-    SimStats,
-    reconfig_arrival_probability,
-    run,
-)
+from .sim import ArrivalProcess, SimConfig, SimStats, run
 
 __version__ = "1.0.0"
 
@@ -74,7 +68,6 @@ __all__ = [
     "default_profile",
     "default_thresholds",
     "load_config",
-    "reconfig_arrival_probability",
     "run",
     "select_rates",
     "spec_from_planning",

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import hashlib
 import itertools
 import json
 import logging
@@ -36,11 +35,6 @@ CSV_COLUMNS = (
     "pb_analytic", "pb_components", "pb_sim", "pb_sim_ci",
     "blocked_rru", "blocked_fha", "agree", "wall_s",
 )
-#: Two estimates agree when they differ by at most this many standard errors.
-AGREE_SIGMA = 3.0
-#: Two estimates agree unconditionally when both blocking probabilities,
-#: or both of their complements, are below this.
-AGREE_FLOOR = 1e-4
 #: Events per replication, for `simulate --events` and a plan's `events`.
 DEFAULT_EVENTS = 1_000_000
 
@@ -67,24 +61,6 @@ def _parse_arrival(text: str) -> float:
     raise VrfError(f"bad arrival spec {text!r}: expected poisson or weibull:K")
 
 
-def _coordinate_seed(base_seed: int, a: float, n_d: int, gap: int, arrival: str,
-                     n: int, events: int) -> int:
-    """Deterministic 63-bit seed from the grid coordinates, independent
-    of execution order."""
-    key = f"{base_seed}|{a:.12g}|{n_d}|{gap}|{arrival}|{n}|{events}"
-    return int(hashlib.sha256(key.encode()).hexdigest()[:16], 16) >> 1
-
-
-def _agree_flag(pb_exact: float, pb_sim: float, stderr: float) -> bool:
-    """Whether a simulated estimate matches the "true"-convention
-    blocking, the exact product form of the chain the simulator runs."""
-    if pb_exact < AGREE_FLOOR and pb_sim < AGREE_FLOOR:
-        return True
-    if 1.0 - pb_exact < AGREE_FLOOR and 1.0 - pb_sim < AGREE_FLOOR:
-        return True
-    return abs(pb_exact - pb_sim) <= AGREE_SIGMA * stderr
-
-
 def _analytic(planning: PlanningConfig) -> tuple[aggregator.AggregatorSpec,
                                                  aggregator.BlockingReport]:
     spec = aggregator.spec_from_planning(planning)
@@ -102,7 +78,7 @@ def _agree(analytic: tuple | None, simulated: tuple | None) -> str:
     if report.binomial_n != spec.cluster_size:
         exact = aggregator.blocking(spec, binomial_n="true").total
     stats = simulated[1]
-    return str(_agree_flag(exact, stats.estimate_fha_flow, stats.stderr)).lower()
+    return str(sim.agrees(exact, stats.estimate_fha_flow, stats.stderr)).lower()
 
 
 def _row(planning: PlanningConfig, analytic: tuple | None, simulated: tuple | None,
@@ -260,7 +236,7 @@ def _plan_points(plan: dict) -> list[dict]:
         })
         cfg = None
         if plan["mode"] != "analytic":
-            seed = _coordinate_seed(plan["base_seed"], a, n_d, gap, arrival, n, plan["events"])
+            seed = sim.coordinate_seed(plan["base_seed"], a, n_d, gap, arrival, n, plan["events"])
             cfg = sim.SimConfig.from_planning(planning, plan["events"], seed, shape)
         points.append({"planning": planning, "arrival": arrival, "mode": plan["mode"],
                        "sim": cfg})

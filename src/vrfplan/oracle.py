@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import aggregator, rru, sim
-from .cli import _agree_flag, _coordinate_seed
 from .config import DEFAULT_SERVICE_RATE, RateSet, ThresholdPolicy, TrafficSpec, config_from_dict
 from .errors import InvalidParameterError, NumericalError, StructuralError, VrfError
 
@@ -286,9 +285,9 @@ def run_suites() -> list[dict]:
     for a, n_d, n in ((0.3, 3, 16), (0.25, 3, 17), (0.2, 1, 9)):
         planning = config_from_dict({"a": a, "n_d": n_d, "cluster_size": n})
         report = aggregator.blocking_for_planning(planning, binomial_n="true")
-        seed = _coordinate_seed(0, a, n_d, 1, "poisson", n, 200_000)
+        seed = sim.coordinate_seed(0, a, n_d, 1, "poisson", n, 200_000)
         stats = sim.run(sim.SimConfig.from_planning(planning, 200_000, seed))
-        point_ok = _agree_flag(report.total, stats.estimate_fha_flow, stats.stderr)
+        point_ok = sim.agrees(report.total, stats.estimate_fha_flow, stats.stderr)
         ok = ok and point_ok
         results.append({"a": a, "n_d": n_d, "n": n, "analytic": report.total,
                         "simulated": stats.estimate_fha_flow,

@@ -36,10 +36,16 @@ on the cluster size. Uniforms are drawn in blocks, each transformed once
 in numpy and consumed in stream order.
 Identical configurations therefore reproduce bit-identical statistics,
 whatever the block size, on a given platform and numpy build.
+
+Two rules pair runs with the analytic model, for the sweep verb and the
+`validate` suites alike: `coordinate_seed` derives a grid point's seed
+from its coordinates, and `agrees` judges a flow estimate against the
+exact blocking.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 from collections import deque
@@ -49,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import PlanningConfig, _is_int, _is_number, check_cluster
-from .errors import InvalidConfigError, InvalidParameterError
+from .errors import InvalidConfigError
 from .rru import RruChainSpec, transition_rates
 
 #: Minimum event budget for any reported estimate.
@@ -59,6 +65,12 @@ BATCH_COUNT = 20
 #: 97.5% quantile of Student's t with BATCH_COUNT-1 degrees of freedom
 #: (scipy.stats.t.ppf(0.975, 19), kept as a literal to spare the import).
 T_QUANTILE = 2.0930240544083087
+#: A simulated estimate agrees with the exact blocking when they differ by at
+#: most this many standard errors.
+AGREE_SIGMA = 3.0
+#: They agree unconditionally when both blocking probabilities, or both of
+#: their complements, are below this.
+AGREE_FLOOR = 1e-4
 #: Uniforms the units' arrivals share, and uniform pairs the departure clock
 #: draws, at a time; the outcome does not depend on it.
 _UNIFORM_BLOCK = 1 << 12
@@ -90,28 +102,11 @@ class ArrivalProcess:
                 "arrival", f"rate {self.rate!r} and shape {self.shape!r} can draw an "
                            f"inter-arrival time past the float range")
 
-    @property
-    def mean_interarrival(self) -> float:
-        return math.gamma(1.0 + 1.0 / self.shape) / self.rate
-
     def quantile(self, u: float | np.ndarray) -> float | np.ndarray:
         """Inverse CDF of the inter-arrival time at u in [0, 1), elementwise
         over an array of uniforms. A power of 1.0 returns its base exactly,
         so shape 1 draws the exponential gaps bit for bit."""
         return (-np.log1p(-u)) ** (1.0 / self.shape) * (1.0 / self.rate)
-
-
-def reconfig_arrival_probability(rate: float, window: float, n: int) -> float:
-    """Probability that exactly n Poisson calls arrive within one
-    reconfiguration window; rate and window share the same time unit."""
-    x = rate * window
-    if not (0 < rate < math.inf and 0 < window < math.inf and 0 < x < math.inf):
-        raise InvalidParameterError(
-            f"rate and window must be positive and finite, with a product in "
-            f"floating-point range, got {rate!r} and {window!r}")
-    if not _is_int(n) or n < 0:
-        raise InvalidParameterError(f"n must be a non-negative integer, got {n!r}")
-    return math.exp(n * math.log(x) - x - math.lgamma(n + 1))
 
 
 @dataclass(frozen=True)
@@ -145,9 +140,10 @@ class SimConfig:
         if not 0 <= self.seed < 2**128:
             # the Philox key is a 128-bit unsigned integer
             raise InvalidConfigError("seed", f"must lie in [0, 2**128), got {self.seed}")
-        if not _is_number(self.reconfig_latency) or not self.reconfig_latency >= 0:
-            raise InvalidConfigError("reconfig_latency",
-                                     f"must be a non-negative number, got {self.reconfig_latency!r}")
+        if not _is_number(self.reconfig_latency) or not 0 <= self.reconfig_latency < math.inf:
+            raise InvalidConfigError(
+                "reconfig_latency",
+                f"must be a finite non-negative number, got {self.reconfig_latency!r}")
         object.__setattr__(self, "arrival", ArrivalProcess(rate=self.unit.lam, shape=self.shape))
 
     @classmethod
@@ -519,3 +515,21 @@ def run(config: SimConfig) -> SimStats:
         batch_flow_blocked=b_fnum,
         batch_flow_total=b_fden,
     )
+
+
+def coordinate_seed(base_seed: int, a: float, n_d: int, gap: int, arrival: str,
+                    n: int, events: int) -> int:
+    """Deterministic 63-bit seed from a sweep's grid coordinates,
+    independent of execution order."""
+    key = f"{base_seed}|{a:.12g}|{n_d}|{gap}|{arrival}|{n}|{events}"
+    return int(hashlib.sha256(key.encode()).hexdigest()[:16], 16) >> 1
+
+
+def agrees(pb_exact: float, pb_sim: float, stderr: float) -> bool:
+    """Whether a simulated estimate matches the "true"-convention
+    blocking, the exact product form of the chain the simulator runs."""
+    if pb_exact < AGREE_FLOOR and pb_sim < AGREE_FLOOR:
+        return True
+    if 1.0 - pb_exact < AGREE_FLOOR and 1.0 - pb_sim < AGREE_FLOOR:
+        return True
+    return abs(pb_exact - pb_sim) <= AGREE_SIGMA * stderr

@@ -33,12 +33,11 @@ import numpy as np
 import pytest
 
 from vrfplan import SimConfig, aggregator, config_from_dict, oracle, rru, sim
-from vrfplan.cli import _coordinate_seed
 from vrfplan.oracle import _random_chain_spec
 
 from chain_reduction import band_ratio_oracle
 from conftest import keep_no_bytecode
-from util import engset_marginal, erlang_b, mk_chain, rate_level_distribution
+from util import engset_marginal, erlang_b, mk_chain, poisson_pmf, rate_level_distribution
 
 EVENTS = 1_000_000
 
@@ -66,7 +65,7 @@ def _max_n_below(a, n_d, threshold, inclusive=False):
 
 def _simulate(a, n_d, n, shape, label):
     planning = config_from_dict({"a": a, "n_d": n_d, "cluster_size": n})
-    seed = _coordinate_seed(0, a, n_d, 1, label, n, EVENTS)
+    seed = sim.coordinate_seed(0, a, n_d, 1, label, n, EVENTS)
     return sim.run(SimConfig.from_planning(planning, EVENTS, seed, shape=shape))
 
 
@@ -370,8 +369,8 @@ def test_interarrival_shape_orders_blocking(record_check):
 
 def test_reconfiguration_window_probabilities(record_check):
     rate = 10.0 / 60.0
-    half = [sim.reconfig_arrival_probability(rate, 0.5, n) for n in (1, 2, 3)]
-    five = [sim.reconfig_arrival_probability(rate, 5.0, n) for n in (2, 3, 4)]
+    half = [poisson_pmf(rate * 0.5, n) for n in (1, 2, 3)]
+    five = [poisson_pmf(rate * 5.0, n) for n in (2, 3, 4)]
     got_half = [f"{half[0]:.4f}", f"{half[1]:.4f}", f"{half[2]:.4e}"]
     got_five = [f"{v:.4f}" for v in five]
     passed = (got_half == ["0.0767", "0.0032", "8.8739e-05"]

@@ -1,5 +1,6 @@
 """The public API: `vrfplan.__all__` is exactly what `__init__` imports,
-and the exact checks live in `vrfplan.oracle` alone."""
+the exact checks live in `vrfplan.oracle` alone, and no library module
+imports the command line."""
 
 import ast
 import importlib
@@ -19,13 +20,13 @@ import vrfplan.oracle
 #: rates now read straight from the log coefficients, the traffic
 #: builder whose lambda `RruChainSpec.lam` now derives from the rate set,
 #: the cluster-chain pair classifier whose rates the generator's move
-#: walk now reads off each move, and a state count that answered no
-#: planning question.
+#: walk now reads off each move, a state count that answered no
+#: planning question, and a Poisson pmf only an acceptance check read.
 REMOVED = (
     "Partition", "uniformize", "stochastic_complement", "fold_back_conditional",
     "dtmc_steady_state", "sample_interarrival", "rate_after_arrival",
     "rate_after_departure", "max_rru", "PartitionDistribution", "partition_distribution",
-    "traffic_from_load", "transition_rate", "count_states",
+    "traffic_from_load", "transition_rate", "count_states", "reconfig_arrival_probability",
 )
 #: The enumerated cluster model: the oracle of the load-grid solve, which
 #: `vrfplan validate` and the tests reach through `vrfplan.aggregator`.
@@ -89,6 +90,36 @@ def test_oracle_is_the_only_home_of_the_exact_checks():
     for name in ("_TABLE_CAPACITIES", "_random_chain_spec", "_suite_coefficients",
                  "_suite_product_form", "_suite_sim_agreement"):
         assert not hasattr(vrfplan.cli, name), name
+
+
+def _imported_modules(path):
+    """Every module `path` imports, and every name it imports from one;
+    relative imports keep their leading dots."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            sep = "." if node.module else ""
+            found.add(base)
+            found.update(base + sep + alias.name for alias in node.names)
+    return found
+
+
+def test_only_the_cli_imports_the_cli():
+    # the library sits below its front end: config, rru, aggregator and
+    # sim, then oracle, then cli
+    package = Path(vrfplan.__file__).parent
+    importers = [p.name for p in sorted(package.glob("*.py"))
+                 if p.name != "cli.py" and _imported_modules(p) & {"vrfplan.cli", ".cli"}]
+    assert importers == []
+
+
+def test_the_cli_keeps_no_copy_of_the_simulation_rules():
+    for name in ("_agree_flag", "_coordinate_seed", "AGREE_SIGMA", "AGREE_FLOOR"):
+        assert not hasattr(vrfplan.cli, name), name
+    assert not hasattr(vrfplan.sim.ArrivalProcess, "mean_interarrival")
 
 
 def test_benchmark_trace_targets_resolve():

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import vrfplan
-from vrfplan.cli import AGREE_FLOOR, CSV_COLUMNS, _agree_flag, _coordinate_seed, _fmt, main
+from vrfplan.cli import CSV_COLUMNS, _fmt, main
+from vrfplan.sim import AGREE_FLOOR, agrees, coordinate_seed
 
 
 def write_config(tmp_path, **kwargs):
@@ -38,10 +39,10 @@ def test_float_formatting_uses_nine_significant_digits():
 
 
 def test_coordinate_seeds_are_deterministic_and_distinct():
-    s1 = _coordinate_seed(0, 0.2, 3, 1, "poisson", 12, 1_000_000)
-    s2 = _coordinate_seed(0, 0.2, 3, 1, "poisson", 12, 1_000_000)
-    s3 = _coordinate_seed(0, 0.2, 3, 1, "poisson", 13, 1_000_000)
-    s4 = _coordinate_seed(1, 0.2, 3, 1, "poisson", 12, 1_000_000)
+    s1 = coordinate_seed(0, 0.2, 3, 1, "poisson", 12, 1_000_000)
+    s2 = coordinate_seed(0, 0.2, 3, 1, "poisson", 12, 1_000_000)
+    s3 = coordinate_seed(0, 0.2, 3, 1, "poisson", 13, 1_000_000)
+    s4 = coordinate_seed(1, 0.2, 3, 1, "poisson", 12, 1_000_000)
     assert s1 == s2
     assert len({s1, s3, s4}) == 3
     assert 0 <= s1 < 2**63
@@ -172,12 +173,15 @@ def test_simulate_latency_row_leaves_agree_empty(tmp_path, capsys):
 
 
 def test_simulate_rejects_nan_latency(tmp_path, capsys):
+    # an infinite latency would pin every unit at its peak rate, its
+    # downgrades queued and never drained
     cfg = write_config(tmp_path, a=0.3, n_d=3, cluster_size=14)
-    assert main(["simulate", "--config", cfg, "--events", "100000", "--seed", "1",
-                 "--latency", "nan"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "reconfig_latency" in captured.err
+    for latency in ("nan", "inf"):
+        assert main(["simulate", "--config", cfg, "--events", "100000", "--seed", "1",
+                     "--latency", latency]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "reconfig_latency" in captured.err
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**128)])
@@ -281,7 +285,7 @@ def test_sweep_simulated_rows_have_agreement_flag(tmp_path, capsys):
     (row,) = rows_of(out)
     assert row["agree"] in ("true", "false")
     assert row["pb_sim"] != "" and row["pb_sim_ci"] != ""
-    assert int(row["seed"]) == _coordinate_seed(0, 0.25, 3, 1, "poisson", 16, 120_000)
+    assert int(row["seed"]) == coordinate_seed(0, 0.25, 3, 1, "poisson", 16, 120_000)
 
 
 def test_sweep_agreement_judged_against_exact_convention(tmp_path, capsys):
@@ -299,10 +303,10 @@ def test_sweep_agreement_judged_against_exact_convention(tmp_path, capsys):
 
 
 def test_agreement_floor_at_both_ends():
-    assert _agree_flag(0.5 * AGREE_FLOOR, 0.0, 0.0)
-    assert _agree_flag(1.0 - 0.5 * AGREE_FLOOR, 1.0, 0.0)
-    assert not _agree_flag(1.0 - 2.0 * AGREE_FLOOR, 1.0, 0.0)
-    assert not _agree_flag(0.5, 0.6, 0.01)
+    assert agrees(0.5 * AGREE_FLOOR, 0.0, 0.0)
+    assert agrees(1.0 - 0.5 * AGREE_FLOOR, 1.0, 0.0)
+    assert not agrees(1.0 - 2.0 * AGREE_FLOOR, 1.0, 0.0)
+    assert not agrees(0.5, 0.6, 0.01)
 
 
 def test_sweep_simulate_mode_rows(tmp_path, capsys):
@@ -315,7 +319,7 @@ def test_sweep_simulate_mode_rows(tmp_path, capsys):
     (row,) = rows_of(out)
     assert [c for c in CSV_COLUMNS if row[c] == ""] == ["pb_analytic", "pb_components", "agree"]
     assert row["arrival"] == "poisson" and row["events"] == "100000"
-    assert int(row["seed"]) == _coordinate_seed(0, 0.25, 3, 1, "poisson", 16, 100_000)
+    assert int(row["seed"]) == coordinate_seed(0, 0.25, 3, 1, "poisson", 16, 100_000)
 
 
 def test_bool_cluster_size_is_a_configuration_error(tmp_path, capsys):

@@ -13,11 +13,9 @@ from scipy import stats as sps
 from vrfplan import (
     ArrivalProcess,
     InvalidConfigError,
-    InvalidParameterError,
     SimConfig,
     blocking_for_planning,
     config_from_dict,
-    reconfig_arrival_probability,
     transition_rates,
 )
 from vrfplan import sim
@@ -52,12 +50,6 @@ def test_arrival_rejects_bad_shape():
             with pytest.raises(InvalidConfigError, match="float range"):
                 ArrivalProcess(rate=1.0, shape=shape)
         assert math.isfinite(ArrivalProcess(rate=1.0, shape=0.01).quantile(1.0 - 2.0**-53))
-
-
-def test_mean_interarrival():
-    assert ArrivalProcess(rate=4.0).mean_interarrival == pytest.approx(0.25)
-    w = ArrivalProcess(rate=1.0, shape=0.9)
-    assert w.mean_interarrival == pytest.approx(math.gamma(1 + 1 / 0.9), rel=1e-12)
 
 
 def test_shape_one_reduces_to_exponential():
@@ -105,48 +97,9 @@ def test_quantile_on_arrays_matches_scalar_formula():
         np.testing.assert_allclose(process.quantile(u), want, rtol=1e-14, atol=0.0)
 
 
-# ---------------------------------------------------------------------------
-# reconfiguration-within-a-window probability
-
-def test_reconfig_probability_printed_values():
-    per_second = 10.0 / 60.0
-    assert round(reconfig_arrival_probability(per_second, 0.5, 1), 4) == 0.0767
-    assert round(reconfig_arrival_probability(per_second, 0.5, 2), 4) == 0.0032
-    assert reconfig_arrival_probability(per_second, 0.5, 3) == pytest.approx(8.8739e-5, rel=1e-4)
-    assert round(reconfig_arrival_probability(per_second, 5.0, 2), 4) == 0.1509
-    assert round(reconfig_arrival_probability(per_second, 5.0, 3), 4) == 0.0419
-    assert round(reconfig_arrival_probability(per_second, 5.0, 4), 4) == 0.0087
-
-
-def test_reconfig_probability_matches_scipy_poisson_pmf():
-    for rate in (10.0 / 60.0, 1.0, 7.5):
-        for window in (0.05, 0.5, 5.0):
-            for n in range(8):
-                want = float(sps.poisson.pmf(n, rate * window))
-                assert reconfig_arrival_probability(rate, window, n) == pytest.approx(
-                    want, rel=1e-12)
-
-
 def test_t_quantile_literal_matches_scipy():
     assert sim.T_QUANTILE == pytest.approx(float(sps.t.ppf(0.975, sim.BATCH_COUNT - 1)),
                                            rel=1e-15)
-
-
-def test_reconfig_probability_validation():
-    with pytest.raises(InvalidParameterError):
-        reconfig_arrival_probability(-1.0, 0.5, 1)
-    with pytest.raises(InvalidParameterError):
-        reconfig_arrival_probability(1.0, 0.5, -1)
-
-
-def test_reconfig_probability_rejects_infinite_inputs():
-    # an infinite rate, window or product would give NaN, not an error
-    for rate, window in ((math.inf, 1.0), (1.0, math.inf), (1e200, 1e200)):
-        for n in (0, 1):
-            with pytest.raises(InvalidParameterError):
-                reconfig_arrival_probability(rate, window, n)
-    with pytest.raises(InvalidParameterError):
-        reconfig_arrival_probability(1.0, 0.5, 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +155,9 @@ def test_sim_config_validation():
         dataclasses.replace(good, shape=0.0)
     with pytest.raises(InvalidConfigError):
         dataclasses.replace(good, reconfig_latency=-0.5)
-    with pytest.raises(InvalidConfigError, match="reconfig_latency"):
-        dataclasses.replace(good, reconfig_latency=math.nan)
+    for latency in (math.nan, math.inf):
+        with pytest.raises(InvalidConfigError, match="reconfig_latency"):
+            dataclasses.replace(good, reconfig_latency=latency)
 
 
 def test_sim_config_rejects_bool_cluster_size():

@@ -25,6 +25,11 @@ def erlang_b(rho: float, servers: int) -> float:
     return b
 
 
+def poisson_pmf(mean: float, n: int) -> float:
+    """Probability of exactly n Poisson arrivals with the given mean."""
+    return math.exp(n * math.log(mean) - mean - math.lgamma(n + 1))
+
+
 def takacs_loss(laplace, servers: int, mu: float) -> float:
     """Loss probability of GI/M/s(0) (Takacs): `laplace(s)` is the
     Laplace-Stieltjes transform E[exp(-s T)] of the inter-arrival time T.
