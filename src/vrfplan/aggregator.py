@@ -13,10 +13,9 @@ Blocking is a convolution over that grid, and no state is listed: every
 flow is one unit facing the others, read off one power of one unit's
 polynomial, built from tilted probabilities by direct convolutions of
 positive terms, so its cost grows as log(N) G^2, not with the number of
-states. The enumerated state
-space (`enumerate_states`, `product_form`, `build_generator`,
-`detailed_balance_check`) is the oracle for that path; only the suites
-of `vrfplan.oracle` and the tests use it.
+states. The enumerated state space (`enumerate_states`, `product_form`)
+is the oracle for that path; only `vrfplan.oracle`, which builds and
+solves its dense chain, and the tests use it.
 """
 
 from __future__ import annotations
@@ -33,8 +32,6 @@ from .rru import RruChainSpec, RruRates, transition_rates
 
 #: Refuse to enumerate more states than this.
 DEFAULT_STATE_CAP = 5_000_000
-#: Dense generator assembly is quadratic in states; cap it separately.
-_GENERATOR_STATE_CAP = 5_000
 
 _CONVENTIONS = ("effective", "true")
 
@@ -74,9 +71,6 @@ class StateSpace:
 
     def __len__(self) -> int:
         return len(self.vectors)
-
-    def index_of(self, k: tuple[int, ...]) -> int:
-        return self.vectors.index(k)
 
 
 @dataclass(frozen=True)
@@ -157,52 +151,6 @@ def _walk(spec: AggregatorSpec, load_limit: float,
         prefix.pop()
 
 
-def _upward_moves(spec: AggregatorSpec, space: StateSpace):
-    """Each pair of feasible states one wake-up or one upgrade apart, as
-    (i, j, rate i -> j, rate j -> i) with j the state above i.
-
-    The move into `level` (0-based) goes up at `movers * up[level]`, where
-    the movers are the idle units, N - sum(k), for a wake-up and the units
-    one level lower, k[level - 1], for an upgrade; it comes back down at
-    `dst[level] * down[level]`."""
-    n = spec.cluster_size
-    up, down = spec.rates.up, spec.rates.down
-    index = {k: i for i, k in enumerate(space.vectors)}
-    for i, k in enumerate(space.vectors):
-        for level in range(len(k)):
-            dst = list(k)
-            dst[level] += 1
-            if level:
-                dst[level - 1] -= 1
-                movers = k[level - 1]
-            else:
-                movers = n - sum(k)
-            j = index.get(tuple(dst))
-            if j is not None:
-                yield i, j, movers * up[level], dst[level] * down[level]
-
-
-def build_generator(spec: AggregatorSpec, space: StateSpace | None = None) -> np.ndarray:
-    """Dense rate matrix over the feasible states, for direct solving.
-
-    Intended as an oracle on small instances; large state spaces are
-    rejected.
-    """
-    if space is None:
-        space = enumerate_states(spec)
-    n = len(space)
-    if n > _GENERATOR_STATE_CAP:
-        raise CapacityError(
-            f"dense generator for {n} states exceeds the {_GENERATOR_STATE_CAP}-state cap"
-        )
-    q = np.zeros((n, n))
-    for i, j, up, down in _upward_moves(spec, space):
-        q[i, j] = up
-        q[j, i] = down
-    np.fill_diagonal(q, -q.sum(axis=1))
-    return q
-
-
 def product_form(
     spec: AggregatorSpec,
     binomial_n: str = "effective",
@@ -219,7 +167,7 @@ def product_form(
     `binomial_n` selects the unit count in the choose-term: "effective"
     caps it at the number of units the link can carry at the lowest rate;
     "true" always uses the cluster size (exact for the capacity-truncated
-    chain, see `detailed_balance_check`).
+    chain, see `oracle.detailed_balance_check`).
     """
     if space is None:
         space = enumerate_states(spec)
@@ -459,20 +407,6 @@ def _tilt(unit: list[tuple[int, float]], mean: float) -> float:
         t = step if lo < step < hi else 0.5 * (lo + hi)
         if not lo < t < hi:
             return t    # the bracket is down to two adjacent floats
-
-
-def detailed_balance_check(
-    spec: AggregatorSpec,
-    binomial_n: str = "true",
-    space: StateSpace | None = None,
-) -> float:
-    """Largest one-pair imbalance |P(i) q_ij - P(j) q_ji| under the
-    product-form probabilities; near zero certifies reversibility."""
-    if space is None:
-        space = enumerate_states(spec)
-    probs = product_form(spec, binomial_n, space)
-    return max((abs(probs[i] * up - probs[j] * down)
-                for i, j, up, down in _upward_moves(spec, space)), default=0.0)
 
 
 def spec_from_planning(planning: PlanningConfig) -> AggregatorSpec:

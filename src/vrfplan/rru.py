@@ -115,8 +115,8 @@ class RruRates:
     def __post_init__(self) -> None:
         if len(self.up) != len(self.down):
             raise InvalidParameterError("up and down rate lists must have equal length")
-        if any(r <= 0.0 for r in self.up + self.down):
-            raise InvalidParameterError("all level-transition rates must be positive")
+        if not all(0.0 < r < math.inf for r in self.up + self.down):
+            raise InvalidParameterError("all level-transition rates must be positive and finite")
         if any(r >= self.up[0] for r in self.up[1:]):
             raise InvalidParameterError("upgrade rates must stay below the raw arrival rate")
 

@@ -90,8 +90,9 @@ class ArrivalProcess:
     shape: float = 1.0
 
     def __post_init__(self) -> None:
-        if not _is_number(self.rate) or not self.rate > 0:
-            raise InvalidConfigError("arrival", f"rate must be a positive number, got {self.rate!r}")
+        if not _is_number(self.rate) or not 0 < self.rate < math.inf:
+            raise InvalidConfigError("arrival",
+                                     f"rate must be a positive finite number, got {self.rate!r}")
         if not _is_number(self.shape) or not self.shape > 0:
             raise InvalidConfigError("arrival", f"shape must be a positive number, got {self.shape!r}")
         # Generator.random draws at most 1 - 2**-53, so this is the longest gap

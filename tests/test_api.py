@@ -30,15 +30,14 @@ REMOVED = (
 )
 #: The enumerated cluster model: the oracle of the load-grid solve, which
 #: `vrfplan validate` and the tests reach through `vrfplan.aggregator`.
-ORACLE_ONLY = (
-    "StateSpace", "enumerate_states", "product_form", "build_generator",
-    "detailed_balance_check",
-)
-#: The unit's full chain, its solver and the per-level view that only
-#: `vrfplan validate` and the tests use, reached through their modules.
+ORACLE_ONLY = ("StateSpace", "enumerate_states", "product_form")
+#: The unit's full chain, the cluster's dense chain, their solver and the
+#: per-level view that only `vrfplan validate` and the tests use, reached
+#: through their modules.
 UNIT_ORACLES = {
     "rru": ("partition_coefficients",),
-    "oracle": ("GlobalRruChain", "build_global_chain", "steady_state", "run_suites"),
+    "oracle": ("GlobalRruChain", "build_global_chain", "steady_state", "run_suites",
+               "build_generator", "detailed_balance_check"),
 }
 
 
@@ -90,6 +89,15 @@ def test_oracle_is_the_only_home_of_the_exact_checks():
     for name in ("_TABLE_CAPACITIES", "_random_chain_spec", "_suite_coefficients",
                  "_suite_product_form", "_suite_sim_agreement"):
         assert not hasattr(vrfplan.cli, name), name
+
+
+def test_the_dense_cluster_chain_lives_in_the_oracle_alone():
+    # the dense chain, its state cap and the balance check on it are exact
+    # checks, not the planning path; a state space is indexed by its vectors
+    for name in ("build_generator", "detailed_balance_check", "_upward_moves",
+                 "_GENERATOR_STATE_CAP"):
+        assert not hasattr(vrfplan.aggregator, name), name
+    assert not hasattr(vrfplan.aggregator.StateSpace, "index_of")
 
 
 def _imported_modules(path):

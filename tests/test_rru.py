@@ -374,9 +374,14 @@ def three_level_chain(forward, reverse):
     (lambda: three_level_chain((3, 6), (2, 3)), InvalidConfigError, "must exceed forward"),
     (lambda: RruRates(up=(1.0, 0.5), down=(1.0,)), InvalidParameterError, "equal length"),
     (lambda: RruRates(up=(1.0,), down=(0.0,)), InvalidParameterError, "positive"),
+    # a service rate near the float limit overflows a rate to inf, or makes
+    # lambda inf and the rates NaN
+    (lambda: RruRates(up=(1.0,), down=(math.inf,)), InvalidParameterError, "finite"),
+    (lambda: RruRates(up=(math.nan,), down=(1.0,)), InvalidParameterError, "finite"),
     (lambda: RruRates(up=(1.0, 1.0), down=(1.0, 1.0)), InvalidParameterError, "below the raw"),
 ], ids=["threshold-count", "forward-above-capacity", "reverse-not-above-forward",
-        "rates-length", "rate-not-positive", "upgrade-not-below-arrival"])
+        "rates-length", "rate-not-positive", "rate-inf", "rate-nan",
+        "upgrade-not-below-arrival"])
 def test_unit_and_rates_refuse_what_the_recurrence_cannot_take(build, error, match):
     with pytest.raises(error, match=match):
         build()

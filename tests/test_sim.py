@@ -183,7 +183,8 @@ def test_sim_config_rejects_non_numbers(field, value, name):
         dataclasses.replace(good, **{field: value})
 
 
-@pytest.mark.parametrize("field, value", [("rate", "2"), ("rate", None), ("shape", "0.9")])
+@pytest.mark.parametrize("field, value", [("rate", "2"), ("rate", None), ("rate", math.inf),
+                                          ("shape", "0.9")])
 def test_arrival_rejects_non_numbers(field, value):
     with pytest.raises(InvalidConfigError, match="arrival"):
         dataclasses.replace(ArrivalProcess(rate=2.0, shape=0.9), **{field: value})
