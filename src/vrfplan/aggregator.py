@@ -178,7 +178,7 @@ def product_form(
         math.log(spec.rates.up[i]) - math.log(spec.rates.down[i])
         for i in range(spec.rate_set.count)
     ])
-    lf = log_factorials(spec.cluster_size)
+    lf = np.array(log_factorials(spec.cluster_size))
     idle = nb - space.totals
     lw = np.where(
         idle >= 0,      # more active units than nb give a zero choose-term

@@ -13,7 +13,12 @@ stretches: a re-entry stretch from the level's base up to its gateway
 (where departures at the base come back), a birth-death stretch from
 the gateway up to the reverse threshold, and the hysteresis band above
 it. Each stretch adds positive terms only, so nothing can cancel, and
-no array is longer than the unit's server count plus one."""
+no list is longer than the unit's server count plus one.
+
+A level holds at most K + 1 = 51 entries on the default ladders, so the
+recurrences run over lists of plain floats with `math`, and each unit
+builds one log-factorial table, at K: numpy's per-call overhead on such
+short arrays would cost more than the arithmetic."""
 
 from __future__ import annotations
 
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._logspace import log_factorials, logsumexp
+from ._logspace import log_factorials, logaddexp, logsumexp_floats
 from .config import PlanningConfig, RateSet, ThresholdPolicy, TrafficSpec
 from .errors import InvalidConfigError, InvalidParameterError
 
@@ -59,6 +64,12 @@ class RruChainSpec:
                     f"reverse threshold R_{l}={r_l} must exceed forward threshold "
                     f"F_{l - 1}={f_prev}",
                 )
+        # the recurrences run in `math`, which takes no inf or log(0)
+        if not 0.0 < self.lam < math.inf:
+            raise InvalidParameterError(
+                f"the call arrival rate lambda = a*K*mu = {self.traffic.a!r} * "
+                f"{self.rate_set.server_count} * {self.traffic.mu!r} is not a positive "
+                f"finite number")
 
     @classmethod
     def from_planning(cls, planning: PlanningConfig) -> RruChainSpec:
@@ -125,9 +136,10 @@ class RruRates:
         return len(self.up)
 
 
-def _log_coefficients(spec: RruChainSpec, level: int) -> np.ndarray:
+def _log_coefficients(spec: RruChainSpec, level: int, lf: list[float]) -> list[float]:
     """Log coefficients over `level`'s user range, shifted so the base
-    entry lo is exactly 0 (coefficient 1).
+    entry lo is exactly 0 (coefficient 1), as a list of floats; `lf` is
+    the unit's log-factorial table, log k! for k up to its server count.
 
     The cut between i and i + 1 users balances the level's flows, read in
     three stretches that each add positive terms only:
@@ -142,6 +154,9 @@ def _log_coefficients(spec: RruChainSpec, level: int) -> np.ndarray:
     - hysteresis band, R_l <= i < F_l: an arrival at F_l leaves and comes
       back at R_l, so lam * p_i = (i + 1) * mu * p_{i+1} + lam * p_F,
       read downward from p_F = 1 and joined to the rest at R_l.
+
+    The stretches are read as lists of floats, with `_logspace.logaddexp`
+    in place of `np.logaddexp` (bit for bit the same).
     """
     lr = math.log(spec.rho)
     users = spec.user_range(level)
@@ -149,21 +164,21 @@ def _log_coefficients(spec: RruChainSpec, level: int) -> np.ndarray:
     top = level == spec.level_count
     r_l = f_l if top else spec.reverse_before(level + 1)
     gateway = lo if level == 1 else spec.forward_at(level - 1) + 1
-    lt = np.zeros(r_l - lo + 1)
     # re-entry: up from p_lo = 1 to the gateway
+    lt = [0.0]
     for i in range(lo, gateway):
-        lt[i - lo + 1] = np.logaddexp(lr + lt[i - lo], math.log(lo)) - math.log(i + 1)
+        lt.append(logaddexp(lr + lt[-1], math.log(lo)) - math.log(i + 1))
     # birth-death: from the gateway up to R_l
-    lf = log_factorials(r_l)
-    g, i = gateway - lo, np.arange(gateway, r_l + 1)
-    lt[g:] = lt[g] + (i - gateway) * lr - (lf[i] - lf[gateway])
+    lg, lfg = lt[-1], lf[gateway]
+    lt += [lg + (i - gateway) * lr - (lf[i] - lfg) for i in range(gateway + 1, r_l + 1)]
     if top:
         return lt
-    # hysteresis band: from p_F = 1 down to R_l
-    lq = np.zeros(f_l - r_l + 1)
-    for i in range(len(lq) - 2, -1, -1):
-        lq[i] = np.logaddexp(math.log(r_l + i + 1) - lr + lq[i + 1], 0.0)
-    return np.concatenate([lt, lt[-1] + lq[1:] - lq[0]])
+    # hysteresis band: from p_F = 1 down to R_l, built from the top
+    lq = [0.0]
+    for i in range(f_l - 1, r_l - 1, -1):
+        lq.append(logaddexp(math.log(i + 1) - lr + lq[-1], 0.0))
+    lq0 = lq.pop()
+    return lt + [lt[-1] + q - lq0 for q in reversed(lq)]
 
 
 def partition_coefficients(spec: RruChainSpec, level: int) -> np.ndarray:
@@ -172,7 +187,8 @@ def partition_coefficients(spec: RruChainSpec, level: int) -> np.ndarray:
     The base entry (lowest user count of the level) is exactly 1; every
     other entry is the steady-state probability ratio to that base state.
     """
-    return np.exp(_log_coefficients(spec, level))
+    lf = log_factorials(spec.rate_set.server_count)
+    return np.exp(_log_coefficients(spec, level, lf))
 
 
 def transition_rates(spec: RruChainSpec) -> RruRates:
@@ -186,13 +202,14 @@ def transition_rates(spec: RruChainSpec) -> RruRates:
     that the off state's dwell is carried by the wake-up rate alone.
     """
     lam, mu = spec.lam, spec.traffic.mu
+    lf = log_factorials(spec.rate_set.server_count)
     up = [lam]
     down = []
     for level in range(1, spec.level_count + 1):
-        lc = _log_coefficients(spec, level)
+        lc = _log_coefficients(spec, level, lf)
         if level == 1:
             lc = lc[1:]
-        norm = logsumexp(lc)
+        norm = logsumexp_floats(lc)
         entry = spec.reverse_before(level) + 1
         down.append(entry * mu * math.exp(lc[0] - norm))
         if level < spec.level_count:

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -112,9 +113,12 @@ def test_analyze_exit_codes(tmp_path, capsys):
 @pytest.mark.parametrize("verb", [["analyze"], ["simulate", "--seed", "1"]])
 def test_a_service_rate_past_the_float_range_is_refused(tmp_path, capsys, verb, mu):
     # at 1e307 a level's down rate overflows to inf; at 5e307 lambda = a K mu
-    # itself is inf. Neither may print a NaN or a zero-gap simulation.
+    # itself is inf. Neither may print a NaN, a numpy warning or a zero-gap
+    # simulation.
     cfg = write_config(tmp_path, a=0.25, n_d=3, cluster_size=10, mu=mu)
-    assert main([verb[0], "--config", cfg, *verb[1:]]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([verb[0], "--config", cfg, *verb[1:]]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "finite" in captured.err

@@ -28,6 +28,12 @@ def unit_spec(a, n_d, gap):
                             traffic=planning.traffic)
 
 
+def unit_spec_mu(a, mu):
+    """The default three-level unit at load a and service rate mu."""
+    return rru.RruChainSpec.from_planning(config_from_dict({"a": a, "mu": mu, "n_d": 3,
+                                                            "cluster_size": 8}))
+
+
 def conditional(spec, level):
     """The level's conditional user-count distribution: its coefficients,
     normalised."""
@@ -379,9 +385,14 @@ def three_level_chain(forward, reverse):
     (lambda: RruRates(up=(1.0,), down=(math.inf,)), InvalidParameterError, "finite"),
     (lambda: RruRates(up=(math.nan,), down=(1.0,)), InvalidParameterError, "finite"),
     (lambda: RruRates(up=(1.0, 1.0), down=(1.0, 1.0)), InvalidParameterError, "below the raw"),
+    # lambda = a K mu past the float range, or below it, never reaches the
+    # recurrences
+    (lambda: unit_spec_mu(0.25, 5e307), InvalidParameterError,
+     r"lambda = a\*K\*mu = 0\.25 \* 50 \* 5e\+307 is not a positive finite"),
+    (lambda: unit_spec_mu(1e-200, 1e-200), InvalidParameterError, "positive finite"),
 ], ids=["threshold-count", "forward-above-capacity", "reverse-not-above-forward",
         "rates-length", "rate-not-positive", "rate-inf", "rate-nan",
-        "upgrade-not-below-arrival"])
+        "upgrade-not-below-arrival", "lambda-inf", "lambda-zero"])
 def test_unit_and_rates_refuse_what_the_recurrence_cannot_take(build, error, match):
     with pytest.raises(error, match=match):
         build()
