@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._logspace import log_factorials, logsumexp
+from ._logspace import log_factorials, logsumexp, logsumexp_floats
 from .config import PlanningConfig, RateSet, check_cluster
 from .errors import CapacityError, InvalidConfigError, InvalidParameterError
 from .rru import RruChainSpec, RruRates, transition_rates
@@ -226,25 +226,23 @@ def blocking(spec: AggregatorSpec, binomial_n: str = "effective") -> BlockingRep
     table = np.full((len(up) + 1, gmax + 1), -math.inf)
     for row, s, lw in zip(table, (0,) + spec.rate_set.steps, [0.0, *log_w]):
         row[s:] = log_fm1[:max(gmax + 1 - s, 0)] + lw
-    flows = table[:-1] + np.log(nb * np.array(up))[:, None]
+    # logs of nb and of each rate added, not of their product, which
+    # overflows at a huge mu
+    flows = table[:-1] + (math.log(nb) + np.log(up))[:, None]
     spare = spec.cluster_size - nb
     if spare:
         flows[0] = np.logaddexp(flows[0], np.logaddexp.reduce(table, axis=0)
-                                + math.log(spare * up[0]))
+                                + (math.log(spare) + math.log(up[0])))
     log_offered = logsumexp(flows)
     log_blocked = [logsumexp(row[max(gmax + 1 - jump, 0):])
                    for row, jump in zip(flows, spec.rate_set.jumps)]
     per_rate = tuple(math.exp(b - log_offered) for b in log_blocked)
-    # a few floats: plain math, not numpy's per-call overhead
-    top = max(log_blocked)
-    log_total = -math.inf if top == -math.inf else (
-        top - log_offered + math.log(math.fsum(math.exp(b - top) for b in log_blocked)))
     return BlockingReport(
         per_rate=per_rate,
         total=float(sum(per_rate)),
         binomial_n=nb,
         convention=binomial_n,
-        log_total=log_total,
+        log_total=logsumexp_floats(log_blocked) - log_offered,
     )
 
 

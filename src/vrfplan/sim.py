@@ -16,6 +16,8 @@ model; it is the direct empirical counterpart of the aggregated-chain
 blocking probability and the quantity compared against it. The two
 differ in heavy blocking because a unit pinned on a forward threshold
 retries on every arrival, which the call-level average weights.
+A run stores only what it counted, batch by batch: `SimStats` derives
+every total and estimate from those per-batch counters.
 
 `run` keeps no event heap. The units' arrivals are merged in numpy into
 one timeline, window by window; departures come from one exponential
@@ -132,6 +134,15 @@ class SimConfig:
             raise InvalidConfigError("unit", f"must be an RruChainSpec, got {type(self.unit).__name__}")
         object.__setattr__(self, "grid_limit", check_cluster(self.unit.rate_set, self.cluster_size,
                                                              self.link_capacity_mbps))
+        # the flow integrals weight each unit by an upward rate of at most
+        # lambda, the wake-up rate, so their rates reach N * lambda
+        if not math.isfinite(self.cluster_size * self.unit.lam):
+            raise InvalidConfigError(
+                "cluster_size",
+                f"the cluster's upgrade flow rate N * lambda = N*a*K*mu = "
+                f"{self.cluster_size} * {self.unit.traffic.a!r} * "
+                f"{self.unit.rate_set.server_count} * {self.unit.traffic.mu!r} "
+                f"is not a finite number")
         if not _is_int(self.events) or self.events < MIN_EVENTS:
             raise InvalidConfigError(
                 "events", f"must be an integer >= {MIN_EVENTS} for a reportable estimate"
@@ -158,44 +169,95 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimStats:
-    """Counters and estimates from one replication.
+    """What one replication counted, and the totals and estimates derived
+    from it.
 
-    All counters cover the post-warm-up window only. `blocked_rru` is
-    cause 1 (every server of the unit busy); `blocked_fha` is cause 2
-    (the needed rate upgrade does not fit on the shared link).
+    All counters cover the post-warm-up window only. The run stores the
+    counters of each of the `BATCH_COUNT` batches; every total and
+    estimate is a property computed from them, so no value is stored
+    twice. `blocked_rru` is cause 1 (every server of the unit busy);
+    `blocked_fha` is cause 2 (the needed rate upgrade does not fit on the
+    shared link).
 
     `estimate_fha_flow` is the censored share of the upgrade flow over
     the empirical occupancy path, the quantity comparable to the
     analytic blocking total; `stderr` and `ci_half_width` belong to it.
     `estimate_fha_per_attempt` is the plain blocked-calls-over-attempts
-    average, and the per-arrival estimates divide by all arrivals.
-    Per-batch counters are exposed so callers can derive an error bar
-    for any of the ratios.
+    average, and the per-arrival estimates divide by all arrivals. The
+    per-batch counters give an error bar for any of the ratios.
     """
 
-    arrivals: int
-    accepted: int
-    blocked_rru: int
-    blocked_fha: int
-    upgrade_attempts: int
-    estimate_fha_flow: float
-    stderr: float
-    ci_half_width: float
-    estimate_fha_per_attempt: float
-    estimate_fha_per_arrival: float
-    estimate_rru_per_arrival: float
-    estimate_total_per_arrival: float
     c_time_average: float
     c_max: float
     events_processed: int
     warmup_events: int
     seed: int
     batch_arrivals: tuple[int, ...]
+    batch_accepted: tuple[int, ...]
     batch_blocked_rru: tuple[int, ...]
     batch_blocked_fha: tuple[int, ...]
     batch_attempts: tuple[int, ...]
     batch_flow_blocked: tuple[float, ...]
     batch_flow_total: tuple[float, ...]
+
+    @property
+    def arrivals(self) -> int:
+        return sum(self.batch_arrivals)
+
+    @property
+    def accepted(self) -> int:
+        return sum(self.batch_accepted)
+
+    @property
+    def blocked_rru(self) -> int:
+        return sum(self.batch_blocked_rru)
+
+    @property
+    def blocked_fha(self) -> int:
+        return sum(self.batch_blocked_fha)
+
+    @property
+    def upgrade_attempts(self) -> int:
+        return sum(self.batch_attempts)
+
+    @property
+    def estimate_fha_flow(self) -> float:
+        den = math.fsum(self.batch_flow_total)
+        return math.fsum(self.batch_flow_blocked) / den if den > 0 else 0.0
+
+    @property
+    def stderr(self) -> float:
+        """Batch-means standard error of `estimate_fha_flow`."""
+        means = [(num / den if den > 0 else 0.0)
+                 for num, den in zip(self.batch_flow_blocked, self.batch_flow_total)]
+        grand = sum(means) / BATCH_COUNT
+        var = sum((x - grand) ** 2 for x in means) / (BATCH_COUNT - 1)
+        return math.sqrt(var / BATCH_COUNT)
+
+    @property
+    def ci_half_width(self) -> float:
+        """Half-width of the 95% confidence interval of `estimate_fha_flow`."""
+        return T_QUANTILE * self.stderr
+
+    @property
+    def estimate_fha_per_attempt(self) -> float:
+        attempts = self.upgrade_attempts
+        return self.blocked_fha / attempts if attempts else 0.0
+
+    @property
+    def estimate_fha_per_arrival(self) -> float:
+        arrivals = self.arrivals
+        return self.blocked_fha / arrivals if arrivals else 0.0
+
+    @property
+    def estimate_rru_per_arrival(self) -> float:
+        arrivals = self.arrivals
+        return self.blocked_rru / arrivals if arrivals else 0.0
+
+    @property
+    def estimate_total_per_arrival(self) -> float:
+        arrivals = self.arrivals
+        return (self.blocked_rru + self.blocked_fha) / arrivals if arrivals else 0.0
 
 
 def _arrival_windows(seed: int, n: int, quantile: Callable[[np.ndarray], np.ndarray],
@@ -475,34 +537,8 @@ def run(config: SimConfig) -> SimStats:
         batches.append((arr, acc, rru, fha, att, f_num, f_den, c_int))
 
     b_arr, b_acc, b_rru, b_fha, b_att, b_fnum, b_fden, b_cint = zip(*batches)
-    arrivals = sum(b_arr)
-    blocked_rru = sum(b_rru)
-    blocked_fha = sum(b_fha)
-    attempts = sum(b_att)
-    flow_num = math.fsum(b_fnum)
-    flow_den = math.fsum(b_fden)
-
     elapsed = t_mark - t_start
-    means = [
-        (b_fnum[i] / b_fden[i] if b_fden[i] > 0 else 0.0) for i in range(BATCH_COUNT)
-    ]
-    grand = sum(means) / BATCH_COUNT
-    var = sum((x - grand) ** 2 for x in means) / (BATCH_COUNT - 1)
-    stderr = math.sqrt(var / BATCH_COUNT)
-
     return SimStats(
-        arrivals=arrivals,
-        accepted=sum(b_acc),
-        blocked_rru=blocked_rru,
-        blocked_fha=blocked_fha,
-        upgrade_attempts=attempts,
-        estimate_fha_flow=flow_num / flow_den if flow_den > 0 else 0.0,
-        stderr=stderr,
-        ci_half_width=T_QUANTILE * stderr,
-        estimate_fha_per_attempt=blocked_fha / attempts if attempts else 0.0,
-        estimate_fha_per_arrival=blocked_fha / arrivals if arrivals else 0.0,
-        estimate_rru_per_arrival=blocked_rru / arrivals if arrivals else 0.0,
-        estimate_total_per_arrival=(blocked_rru + blocked_fha) / arrivals if arrivals else 0.0,
         c_time_average=(math.fsum(b_cint) / elapsed * rate_set.unit_mbps
                         if elapsed > 0 else 0.0),
         c_max=c_max * rate_set.unit_mbps,
@@ -510,6 +546,7 @@ def run(config: SimConfig) -> SimStats:
         warmup_events=warmup,
         seed=config.seed,
         batch_arrivals=b_arr,
+        batch_accepted=b_acc,
         batch_blocked_rru=b_rru,
         batch_blocked_fha=b_fha,
         batch_attempts=b_att,

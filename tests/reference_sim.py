@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from vrfplan.rru import transition_rates
-from vrfplan.sim import BATCH_COUNT, T_QUANTILE, ArrivalProcess, SimConfig, SimStats
+from vrfplan.sim import BATCH_COUNT, ArrivalProcess, SimConfig, SimStats
 
 _CAPACITY_SLACK = 1e-6
 _UNIFORM_BLOCK = 1 << 16
@@ -98,8 +98,8 @@ def run(config: SimConfig) -> SimStats:
         push(heap, (dt, seq, _ARRIVAL, r, 0))
         seq += 1
 
-    arrivals = accepted = blocked_rru = blocked_fha = attempts = 0
     b_arr = [0] * BATCH_COUNT
+    b_acc = [0] * BATCH_COUNT
     b_rru = [0] * BATCH_COUNT
     b_fha = [0] * BATCH_COUNT
     b_att = [0] * BATCH_COUNT
@@ -109,7 +109,6 @@ def run(config: SimConfig) -> SimStats:
     c_now = 0.0
     c_max = 0.0
     c_integral = 0.0
-    flow_num = flow_den = 0.0
     t_mark = 0.0
     t_start = 0.0
     processed = 0
@@ -140,8 +139,6 @@ def run(config: SimConfig) -> SimStats:
                 if counting:
                     dt = t - t_mark
                     c_integral += c_now * dt
-                    flow_num += num_rate * dt
-                    flow_den += den_rate * dt
                     b_fnum[batch] += num_rate * dt
                     b_fden[batch] += den_rate * dt
                     t_mark = t
@@ -159,8 +156,6 @@ def run(config: SimConfig) -> SimStats:
         if counting:
             dt = t - t_mark
             c_integral += c_now * dt
-            flow_num += num_rate * dt
-            flow_den += den_rate * dt
             b_fnum[batch] += num_rate * dt
             b_fden[batch] += den_rate * dt
             t_mark = t
@@ -177,13 +172,11 @@ def run(config: SimConfig) -> SimStats:
             push(heap, (t + dt, seq, _ARRIVAL, r, 0))
             seq += 1
 
-            arrivals += 1
             if counting:
                 b_arr[batch] += 1
             lv = level[r]
             cur_users = users[r]
             if cur_users == big_k:
-                blocked_rru += 1
                 if counting:
                     b_rru[batch] += 1
             else:
@@ -194,18 +187,17 @@ def run(config: SimConfig) -> SimStats:
                 else:
                     step = 0.0
                 if step > 0.0:
-                    attempts += 1
                     if counting:
                         b_att[batch] += 1
                     admit = c_now + step <= capacity_limit
                 else:
                     admit = True
                 if not admit:
-                    blocked_fha += 1
                     if counting:
                         b_fha[batch] += 1
                 else:
-                    accepted += 1
+                    if counting:
+                        b_acc[batch] += 1
                     if step > 0.0:
                         at_level[lv] -= 1
                         at_level[lv + 1] += 1
@@ -245,7 +237,6 @@ def run(config: SimConfig) -> SimStats:
             counting = True
             t_mark = t
             t_start = t
-            arrivals = accepted = blocked_rru = blocked_fha = attempts = 0
 
         if c_now > capacity_limit:
             raise AssertionError(
@@ -261,36 +252,19 @@ def run(config: SimConfig) -> SimStats:
                     f"unit {r} outside its hysteresis band: users={users[r]}, level={lv}"
                 )
 
-    if arrivals != accepted + blocked_rru + blocked_fha:
-        raise AssertionError("arrival conservation violated")
+    for i in range(BATCH_COUNT):
+        if b_arr[i] != b_acc[i] + b_rru[i] + b_fha[i]:
+            raise AssertionError(f"arrival conservation violated in batch {i}")
 
     elapsed = t_mark - t_start
-    means = [
-        (b_fnum[i] / b_fden[i] if b_fden[i] > 0 else 0.0) for i in range(BATCH_COUNT)
-    ]
-    grand = sum(means) / BATCH_COUNT
-    var = sum((x - grand) ** 2 for x in means) / (BATCH_COUNT - 1)
-    stderr = math.sqrt(var / BATCH_COUNT)
-
     return SimStats(
-        arrivals=arrivals,
-        accepted=accepted,
-        blocked_rru=blocked_rru,
-        blocked_fha=blocked_fha,
-        upgrade_attempts=attempts,
-        estimate_fha_flow=flow_num / flow_den if flow_den > 0 else 0.0,
-        stderr=stderr,
-        ci_half_width=T_QUANTILE * stderr,
-        estimate_fha_per_attempt=blocked_fha / attempts if attempts else 0.0,
-        estimate_fha_per_arrival=blocked_fha / arrivals if arrivals else 0.0,
-        estimate_rru_per_arrival=blocked_rru / arrivals if arrivals else 0.0,
-        estimate_total_per_arrival=(blocked_rru + blocked_fha) / arrivals if arrivals else 0.0,
         c_time_average=c_integral / elapsed if elapsed > 0 else 0.0,
         c_max=c_max,
         events_processed=processed,
         warmup_events=warmup,
         seed=config.seed,
         batch_arrivals=tuple(b_arr),
+        batch_accepted=tuple(b_acc),
         batch_blocked_rru=tuple(b_rru),
         batch_blocked_fha=tuple(b_fha),
         batch_attempts=tuple(b_att),

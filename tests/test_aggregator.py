@@ -543,3 +543,19 @@ def test_log_total_is_the_log_of_the_total():
         {"a": 0.3, "n_d": 3, "cluster_size": 4, "fha_capacity_mbps": 10000.0})))
     assert report.total == 0.0 and report.log_total == -math.inf
 
+
+
+@pytest.mark.filterwarnings("error")
+def test_blocking_does_not_move_at_a_huge_service_rate():
+    # mu scales every rate alike, so P_B stays put; at mu = 1e306 the
+    # offered rate nb * lambda overflows, so the log flows must never form
+    # it. At N = 40 the link takes fewer units than N, so "effective"
+    # adds the spare units' wake-ups.
+    for n in (16, 40):
+        for conv in ("effective", "true"):
+            base, huge = (blocking_for_planning(config_from_dict(
+                {"a": 0.3, "n_d": 3, "cluster_size": n, "mu": mu}), conv) for mu in (0.5, 1e306))
+            assert huge.binomial_n == base.binomial_n
+            assert huge.total == pytest.approx(base.total, rel=1e-12), (n, conv)
+    assert blocking_for_planning(config_from_dict(
+        {"a": 0.3, "n_d": 3, "cluster_size": 40, "mu": 0.5})).binomial_n < 40

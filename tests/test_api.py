@@ -3,6 +3,7 @@ the exact checks live in `vrfplan.oracle` alone, and no library module
 imports the command line."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
@@ -27,6 +28,18 @@ REMOVED = (
     "dtmc_steady_state", "sample_interarrival", "rate_after_arrival",
     "rate_after_departure", "max_rru", "PartitionDistribution", "partition_distribution",
     "traffic_from_load", "transition_rate", "count_states", "reconfig_arrival_probability",
+)
+#: What a simulation run stores: the counters it kept. Each total and
+#: estimate is a property derived from them, never a stored copy.
+SIM_STATS_FIELDS = (
+    "c_time_average", "c_max", "events_processed", "warmup_events", "seed",
+    "batch_arrivals", "batch_accepted", "batch_blocked_rru", "batch_blocked_fha",
+    "batch_attempts", "batch_flow_blocked", "batch_flow_total",
+)
+SIM_STATS_DERIVED = (
+    "arrivals", "accepted", "blocked_rru", "blocked_fha", "upgrade_attempts",
+    "estimate_fha_flow", "stderr", "ci_half_width", "estimate_fha_per_attempt",
+    "estimate_fha_per_arrival", "estimate_rru_per_arrival", "estimate_total_per_arrival",
 )
 #: The enumerated cluster model: the oracle of the load-grid solve, which
 #: `vrfplan validate` and the tests reach through `vrfplan.aggregator`.
@@ -65,6 +78,12 @@ def test_removed_names_stay_removed():
         for module in (vrfplan.aggregator, vrfplan.config, vrfplan.oracle, vrfplan.rru,
                        vrfplan.sim):
             assert not hasattr(module, name), (module.__name__, name)
+
+
+def test_sim_stats_stores_only_the_counters():
+    assert tuple(f.name for f in dataclasses.fields(vrfplan.SimStats)) == SIM_STATS_FIELDS
+    for name in SIM_STATS_DERIVED:
+        assert isinstance(getattr(vrfplan.SimStats, name), property), name
 
 
 def test_oracle_names_stay_in_the_aggregator_only():

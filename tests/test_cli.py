@@ -124,6 +124,19 @@ def test_a_service_rate_past_the_float_range_is_refused(tmp_path, capsys, verb, 
     assert "finite" in captured.err
 
 
+def test_a_cluster_whose_flow_rate_overflows_is_not_simulated(tmp_path, capsys):
+    # lambda = a K mu = 1.5e307 is finite, but the 18 units' upgrade flow
+    # rate N lambda is not, and the flow estimate would read a silent 0
+    cfg = write_config(tmp_path, a=0.02, n_d=1, cluster_size=18, mu=1.5e307)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", cfg, "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: field 'cluster_size'")
+    assert "18 * 0.02 * 50 * 1.5e+307" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 

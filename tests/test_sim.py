@@ -201,10 +201,9 @@ def test_conservation_and_batches():
         assert stats.events_processed == 150_000
         assert stats.warmup_events == 7_500
         assert len(stats.batch_arrivals) == 20
-        assert sum(stats.batch_arrivals) == stats.arrivals
-        assert sum(stats.batch_blocked_fha) == stats.blocked_fha
-        assert sum(stats.batch_blocked_rru) == stats.blocked_rru
-        assert sum(stats.batch_attempts) == stats.upgrade_attempts
+        for arr, acc, rru, fha in zip(stats.batch_arrivals, stats.batch_accepted,
+                                      stats.batch_blocked_rru, stats.batch_blocked_fha):
+            assert arr == acc + rru + fha
 
 
 def test_bit_identical_reruns():
